@@ -9,7 +9,6 @@ plus a measurement-based (heterodyne) baseline for comparison.
 
 __version__ = "0.1.0"
 
-from .cli import check_system
 from .errors import (
     DomainError,
     FileFormatError,
@@ -86,7 +85,6 @@ from .systems import (
 
 __all__ = [
     "__version__",
-    "check_system",
     # errors
     "QobsError", "DomainError", "FileFormatError", "NonRealResult",
     "NoStabilizingSolution", "NotHurwitz", "ImaginaryAxisEigenvalue",

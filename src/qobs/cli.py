@@ -15,21 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import FileFormatError, QobsError
-from .observers import (
-    design_algorithm1,
-    design_algorithm2,
-    design_algorithm3,
-    design_classical,
-)
+from .observers import ClassicalObserver
 from .realizability import min_vacuum_rank, skew_riccati_transform, stilde
 from .sweep import (
     ALGORITHMS,
+    DESIGNERS,
     SCENARIOS,
     ScenarioConfig,
     default_kn_grid,
@@ -88,7 +85,7 @@ def _build_parser() -> _Parser:
     p_design.set_defaults(func=_cmd_design)
 
     p_check = sub.add_parser(
-        "check", help="physical-realizability report for a system file"
+        "check", help="realizability report for a system file"
     )
     p_check.add_argument("--system", required=True)
     p_check.set_defaults(func=_cmd_check)
@@ -151,52 +148,34 @@ def _matrix(M: np.ndarray) -> list:
 
 def _cmd_design(args) -> int:
     plant = load_system(args.plant)
-    if args.algorithm == "classical":
-        obs = design_classical(plant)
-        payload = {
-            "n_x": plant.n_x,
-            "A": _matrix(obs.A_hat),
-            "B": _matrix(obs.K),
-            "C": _matrix(np.eye(plant.n_x)),
-            "D": _matrix(np.zeros((plant.n_x, plant.n_y))),
-            "channels": [{"kind": "vacuum"} for _ in range(plant.n_y // 2)],
-            "provenance": {"algorithm": "classical"},
-            "K": _matrix(obs.K),
-        }
+    obs = DESIGNERS[args.algorithm](plant)
+    if isinstance(obs, ClassicalObserver):
+        A, B, C = obs.A_hat, obs.K, np.eye(plant.n_x)
+        extra = {"provenance": {"algorithm": "classical"}, "K": _matrix(obs.K)}
     else:
-        if args.algorithm == "alg1":
-            obs = design_algorithm1(plant)
-            extra = {}
-        elif args.algorithm == "alg2":
-            obs, rho_opt, _ = design_algorithm2(plant)
-            extra = {"rho": rho_opt}
-        else:
-            obs, reason = design_algorithm3(plant)
-            extra = {"transformed": bool(obs.provenance.transformed)}
-            if reason is not None:
-                extra["fallback_reason"] = reason
-        payload = {
-            "n_x": plant.n_x,
-            "A": _matrix(obs.A_hat),
-            "B": _matrix(obs.B_hat),
-            "C": _matrix(obs.C_hat),
-            "D": _matrix(np.zeros((obs.C_hat.shape[0], obs.B_hat.shape[1]))),
-            "channels": [{"kind": "vacuum"} for _ in range(obs.B_hat.shape[1] // 2)],
+        # the realized system: the coordinates in which commutation holds,
+        # driven by the y, v1 and v2 inputs
+        tf = obs.transform
+        A, B_y, C = (obs.A_hat, obs.B_hat, obs.C_hat) if tf is None else (tf.A_tilde, tf.B_tilde, tf.C_tilde)
+        B = np.hstack([B_y, obs.B_v1, obs.B_v2])
+        extra = {
             "B_v1": _matrix(obs.B_v1),
             "B_v2": _matrix(obs.B_v2),
             "noise_gain_v1": _matrix(obs.noise_gain_v1),
             "n_v2": obs.n_v2,
-            "provenance": {"algorithm": obs.provenance.algorithm, **extra},
+            "provenance": {k: v for k, v in asdict(obs.provenance).items() if v is not None},
         }
-        if obs.transform is not None:
-            payload["transform"] = {
-                "T": _matrix(obs.transform.T),
-                "X": _matrix(obs.transform.X),
-                "A_tilde": _matrix(obs.transform.A_tilde),
-                "B_tilde": _matrix(obs.transform.B_tilde),
-                "C_tilde": _matrix(obs.transform.C_tilde),
-                "B_v1_tilde": _matrix(obs.transform.B_v1_tilde),
-            }
+        if tf is not None:
+            extra["transform"] = {"T": _matrix(tf.T), "X": _matrix(tf.X)}
+    payload = {
+        "n_x": plant.n_x,
+        "A": _matrix(A),
+        "B": _matrix(B),
+        "C": _matrix(C),
+        "D": _matrix(np.zeros((C.shape[0], B.shape[1]))),
+        "channels": [{"kind": "vacuum"} for _ in range(B.shape[1] // 2)],
+        **extra,
+    }
     Path(args.out).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -204,15 +183,15 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def check_system(path) -> int:
+def _cmd_check(args) -> int:
     """Realizability report for a system description file.
 
     Prints the commutation residual norm, the commutation-defect matrix and
     its rank (the minimal number of extra vacuum quadratures), and whether
-    the zero-extra-channel state transformation exists. Returns 0 exactly
-    when the residual norm is at most 1e-8.
+    the zero-extra-channel state transformation exists. Succeeds exactly
+    when ``||residual||_F <= 1e-8 (1 + ||A||_F)``.
     """
-    sys_ = load_system(path)
+    sys_ = load_system(args.system)
     res_norm = float(np.linalg.norm(sys_.residual()))
     S_t = stilde(sys_.A, sys_.B, sys_.C, sys_.theta)
     n_v2 = min_vacuum_rank(S_t)
@@ -226,13 +205,9 @@ def check_system(path) -> int:
         print(f"state transformation (n_v2 = 0): failed ({exc.reason_code})")
     else:
         print("state transformation (n_v2 = 0): success")
-    ok = res_norm <= 1e-8
+    ok = res_norm <= 1e-8 * (1.0 + float(np.linalg.norm(sys_.A)))
     print(f"physically realizable: {'yes' if ok else 'no'}")
     return 0 if ok else NUMERICAL_ERROR
-
-
-def _cmd_check(args) -> int:
-    return check_system(args.system)
 
 
 def main(argv=None) -> int:

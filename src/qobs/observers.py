@@ -51,11 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Provenance:
-    """Which designer produced an observer, plus its designer-specific knob."""
+    """Which designer produced an observer, plus its designer-specific knob.
+
+    ``fallback_reason`` is set by algorithm 3 when the state transformation
+    does not exist: the reason code of the typed error that made it revert to
+    the algorithm-1 observer. It stays ``None`` for a transformed design.
+    """
 
     algorithm: str  # "alg1" | "alg2" | "alg3"
     rho: float | None = None  # alg2 only
     transformed: bool | None = None  # alg3 only
+    fallback_reason: str | None = None  # alg3 only
 
 
 @dataclass(frozen=True)
@@ -101,19 +107,12 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _noise_blocks(plant: QuantumLinearSystem):
-    S_w = plant.ito.S
-    V1 = plant.B @ S_w @ plant.B.T
-    V12 = plant.B @ S_w @ plant.D.T
-    V2 = plant.D @ S_w @ plant.D.T
-    return S_w, V1, V12, V2
-
-
 def _kalman_step(plant: QuantumLinearSystem, extra_v2: np.ndarray | None = None):
-    _, V1, V12, V2 = _noise_blocks(plant)
+    S_w = plant.ito.S
+    V2 = plant.D @ S_w @ plant.D.T
     if extra_v2 is not None:
         V2 = V2 + extra_v2
-    kd = solve_care(plant.A, plant.C, V1, V12, V2)
+    kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
     A_hat = plant.A - kd.K @ plant.C
     return kd, A_hat
 
@@ -150,15 +149,14 @@ def default_rho_grid() -> np.ndarray:
 def design_algorithm2(
     plant: QuantumLinearSystem,
     rho_candidates: Sequence[float] | None = None,
-    refine: bool = True,
 ) -> tuple[CoherentObserver, float, list[tuple[float, float]]]:
     """Noise-inflated Kalman design optimized over the inflation ``rho``.
 
     For each candidate the filter is designed against the plant with its
     measurement-noise block inflated by ``rho^2 I``, augmented, and scored
     against the *true* plant. Candidates whose design fails are skipped (the
-    whole call fails only if every candidate does). With ``refine``, one
-    golden-section pass (20 iterations) sharpens the grid minimizer.
+    whole call fails only if every candidate does). One golden-section pass
+    (20 iterations) then sharpens the grid minimizer.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding every
     evaluated ``(rho, trace)`` pair sorted by ``rho``.
@@ -194,7 +192,7 @@ def design_algorithm2(
         reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped)
         raise DomainError(f"every rho candidate failed ({reasons})")
 
-    if refine and len(evaluated) >= 2:
+    if len(evaluated) >= 2:
         best_idx = min(range(len(evaluated)), key=lambda i: evaluated[i][1])
         lo = evaluated[best_idx - 1][0] if best_idx > 0 else evaluated[best_idx][0]
         hi = (
@@ -236,17 +234,16 @@ def design_algorithm3(
     Attempts the skew Riccati state transformation of the Kalman filter; on
     success the observer needs no ``B_v2`` channels and its ``v1`` noise
     enters plant coordinates through ``T^-1 B_v1_tilde``. On failure the
-    algorithm-1 observer is returned unchanged together with the typed reason.
+    algorithm-1 observer is returned together with the typed reason, which
+    its provenance also records as ``fallback_reason``.
     """
     kd, A_hat = _kalman_step(plant)
     C_hat = np.eye(plant.n_x)
     try:
         tf = skew_riccati_transform(A_hat, kd.K, C_hat, plant.theta)
     except QobsError as exc:
-        obs = _augmented_observer(
-            plant, kd, A_hat, Provenance("alg3", transformed=False)
-        )
-        return obs, exc.reason_code
+        provenance = Provenance("alg3", transformed=False, fallback_reason=exc.reason_code)
+        return _augmented_observer(plant, kd, A_hat, provenance), exc.reason_code
     noise_gain = np.linalg.solve(tf.T, tf.B_v1_tilde)
     obs = CoherentObserver(
         A_hat=A_hat,

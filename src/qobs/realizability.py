@@ -45,11 +45,8 @@ __all__ = [
     "skew_riccati_residual",
 ]
 
-#: numerical-rank threshold relative to the largest singular value
+#: numerical-rank threshold relative to the largest eigenvalue of ``i S_tilde / 4``
 RANK_RTOL = 1e-9
-
-#: drop threshold for non-positive spectral rows, relative to the largest
-ROW_DROP_RTOL = 1e-12
 
 
 def _theta_for(dim: int) -> np.ndarray:
@@ -83,16 +80,26 @@ def stilde(
     )
 
 
+def _defect_spectrum(S_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive part of the spectrum of the Hermitian ``i S_tilde / 4``.
+
+    Returns the eigenvalues above ``RANK_RTOL`` times the largest, sorted
+    descending, and their eigenvectors as columns. A real skew ``S_tilde`` has
+    eigenvalues in ``+/-`` pairs, so twice their count is its numerical rank.
+    """
+    eigvals, eigvecs = np.linalg.eigh(0.25j * np.asarray(S_tilde, dtype=float))
+    keep = eigvals > RANK_RTOL * np.max(eigvals, initial=0.0)
+    return eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
+
+
 def min_vacuum_rank(S_tilde: np.ndarray) -> int:
     """Numerical rank of the commutation defect; the minimal ``n_v2``.
 
-    Always even for a (numerically) skew-symmetric input.
+    Always even: twice the count of positive eigenvalues of ``i S_tilde / 4``
+    above ``RANK_RTOL`` times the largest, the count :func:`augment_noise`
+    builds ``B_v2`` from.
     """
-    S_tilde = np.asarray(S_tilde, dtype=float)
-    sv = np.linalg.svd(S_tilde, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    return 2 * _defect_spectrum(S_tilde)[0].size
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
@@ -113,15 +120,13 @@ class AugmentResult:
     """Extra vacuum gains restoring commutation preservation.
 
     ``B_v1`` feeds back the output field (``theta C_hat^T diag(J)``); ``B_v2``
-    couples ``n_v2`` further vacuum quadratures. ``W`` is the spectral factor
-    the construction is built from, kept for audit.
+    couples ``n_v2`` further vacuum quadratures.
     """
 
     S_tilde: np.ndarray
     n_v2: int
     B_v1: np.ndarray
     B_v2: np.ndarray
-    W: np.ndarray
 
 
 def augment_noise(
@@ -142,29 +147,20 @@ def augment_noise(
     C_hat = np.asarray(C_hat, dtype=float)
     n_x = theta.shape[0]
     S_t = stilde(A_hat, B_hat, C_hat, theta)
-    n_v2 = min_vacuum_rank(S_t)
+    eigvals, eigvecs = _defect_spectrum(S_t)
+    n_v2 = 2 * eigvals.size
     B_v1 = theta @ C_hat.T @ _theta_for(C_hat.shape[0])
-
-    S = 0.25j * S_t
-    eigvals, eigvecs = np.linalg.eigh(S)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = _fix_column_phases(eigvecs[:, order])
-    U = eigvecs.conj().T
-    d_plus = np.abs(eigvals) + eigvals
-    top = np.max(d_plus, initial=0.0)
-    keep = d_plus > ROW_DROP_RTOL * top if top > 0 else np.zeros_like(d_plus, bool)
-    W = np.sqrt(d_plus[keep])[:, None] * U[keep, :]
 
     if n_v2 == 0:
         B_v2 = np.zeros((n_x, 0))
     else:
+        W = np.sqrt(2.0 * eigvals)[:, None] * _fix_column_phases(eigvecs).conj().T
         raw = 2j * theta @ np.hstack([-W.conj().T, W.T]) @ gamma_matrix(n_v2)
         try:
             B_v2 = real_part_checked(raw)
         except NonRealResult as exc:
             raise NonRealBv2(str(exc)) from exc
-    return AugmentResult(S_tilde=S_t, n_v2=n_v2, B_v1=B_v1, B_v2=B_v2, W=W)
+    return AugmentResult(S_tilde=S_t, n_v2=n_v2, B_v1=B_v1, B_v2=B_v2)
 
 
 @dataclass(frozen=True)

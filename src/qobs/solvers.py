@@ -44,7 +44,7 @@ def _axis_tolerance(eigvals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KalmanDesign:
-    """Steady-state Kalman filter data: covariance, gain, and noise blocks.
+    """Steady-state Kalman filter data: covariance, gain, and Riccati residual.
 
     ``Q`` is the symmetric PSD stabilizing Riccati solution, ``K`` the filter
     gain, and ``residual_norm`` the Frobenius norm of the Riccati residual at
@@ -53,9 +53,6 @@ class KalmanDesign:
 
     Q: np.ndarray
     K: np.ndarray
-    V1: np.ndarray
-    V12: np.ndarray
-    V2: np.ndarray
     residual_norm: float
 
 
@@ -143,7 +140,7 @@ def solve_care(
             f"filter pole with real part {np.max(poles.real):.3e} is not stable"
         )
     res = float(np.linalg.norm(care_residual(A, C, V1, V12, V2, Q)))
-    return KalmanDesign(Q=Q, K=K, V1=V1, V12=V12, V2=V2, residual_norm=res)
+    return KalmanDesign(Q=Q, K=K, residual_norm=res)
 
 
 def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .systems import make_cavity_plant
 
 __all__ = [
     "SCENARIOS",
+    "DESIGNERS",
     "ALGORITHMS",
     "CSV_HEADER",
     "ScenarioConfig",
@@ -40,16 +41,21 @@ __all__ = [
 #: mirror couplings (kappa1, kappa2) of the three named scenarios
 SCENARIOS = {"s1": (0.1, 0.1), "s2": (0.5, 0.01), "s3": (0.8, 0.01)}
 
-ALGORITHMS = ("alg1", "alg2", "alg3", "classical")
+#: ``name -> designer(plant, rho_candidates=None)`` returning the observer;
+#: the lambdas resolve the designers through this module's globals at call
+#: time, so a wrapper installed there is the one that runs
+DESIGNERS = {
+    "alg1": lambda plant, rho_candidates=None: design_algorithm1(plant),
+    "alg2": lambda plant, rho_candidates=None: design_algorithm2(plant, rho_candidates)[0],
+    "alg3": lambda plant, rho_candidates=None: design_algorithm3(plant)[0],
+    "classical": lambda plant, rho_candidates=None: design_classical(plant),
+}
+
+ALGORITHMS = tuple(DESIGNERS)
 
 #: integer thermal intensities bracketing the known transformation-existence
 #: discontinuities; always folded into the default grid
 TRANSITION_KNS = (69.0, 70.0, 909.0, 910.0)
-
-CSV_HEADER = (
-    "k_n,alg1_trace,alg1_frob,alg1_nv2,alg2_trace,alg2_frob,alg2_rho,"
-    "alg3_trace,alg3_frob,alg3_nv2,alg3_transformed,classical_trace,classical_frob"
-)
 
 
 def default_kn_grid(n_points: int = 60) -> tuple[float, ...]:
@@ -135,42 +141,39 @@ class SweepRow:
     errors: dict = field(default_factory=dict)
 
 
+#: the CSV columns, in ``SweepRow`` field order
+_CSV_COLUMNS = tuple(
+    f.name for f in fields(SweepRow) if f.name not in ("errors", "alg3_failure_reason")
+)
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+#: how the ``<algorithm>_<key>`` fields of a row are read from an observer
+#: and its performance report
+_ROW_VALUES = {
+    "trace": lambda obs, rep: rep.trace,
+    "frob": lambda obs, rep: rep.frobenius,
+    "nv2": lambda obs, rep: obs.n_v2,
+    "rho": lambda obs, rep: obs.provenance.rho,
+    "transformed": lambda obs, rep: obs.provenance.transformed,
+    "failure_reason": lambda obs, rep: obs.provenance.fallback_reason,
+}
+
+
 def _sweep_point(config: ScenarioConfig, k_n: float) -> SweepRow:
     row = SweepRow(k_n=k_n)
     plant = make_cavity_plant(config.kappa1, config.kappa2, k_n)
-    if "alg1" in config.algorithms:
+    for alg, design in DESIGNERS.items():
+        if alg not in config.algorithms:
+            continue
         try:
-            obs = design_algorithm1(plant)
+            obs = design(plant, config.rho_candidates)
             rep = evaluate_performance(plant, obs)
-            row.alg1_trace, row.alg1_frob = rep.trace, rep.frobenius
-            row.alg1_nv2 = obs.n_v2
         except QobsError as exc:
-            row.errors["alg1"] = f"{exc.reason_code}: {exc}"
-    if "alg2" in config.algorithms:
-        try:
-            obs, rho_opt, _ = design_algorithm2(plant, config.rho_candidates)
-            rep = evaluate_performance(plant, obs)
-            row.alg2_trace, row.alg2_frob = rep.trace, rep.frobenius
-            row.alg2_rho = rho_opt
-        except QobsError as exc:
-            row.errors["alg2"] = f"{exc.reason_code}: {exc}"
-    if "alg3" in config.algorithms:
-        try:
-            obs, reason = design_algorithm3(plant)
-            rep = evaluate_performance(plant, obs)
-            row.alg3_trace, row.alg3_frob = rep.trace, rep.frobenius
-            row.alg3_nv2 = obs.n_v2
-            row.alg3_transformed = bool(obs.provenance.transformed)
-            row.alg3_failure_reason = reason
-        except QobsError as exc:
-            row.errors["alg3"] = f"{exc.reason_code}: {exc}"
-    if "classical" in config.algorithms:
-        try:
-            obs = design_classical(plant)
-            rep = evaluate_performance(plant, obs)
-            row.classical_trace, row.classical_frob = rep.trace, rep.frobenius
-        except QobsError as exc:
-            row.errors["classical"] = f"{exc.reason_code}: {exc}"
+            row.errors[alg] = f"{exc.reason_code}: {exc}"
+            continue
+        for f in fields(SweepRow):
+            if f.name.startswith(f"{alg}_"):
+                setattr(row, f.name, _ROW_VALUES[f.name[len(alg) + 1 :]](obs, rep))
     return row
 
 
@@ -197,10 +200,9 @@ def emit_csv(rows: Sequence[SweepRow], destination) -> None:
     """
     if not rows:
         raise DomainError("no rows to write; refusing to create an empty file")
-    columns = [f.name for f in fields(SweepRow) if f.name not in ("errors", "alg3_failure_reason")]
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_cell(getattr(row, name)) for name in columns))
+        lines.append(",".join(_cell(getattr(row, name)) for name in _CSV_COLUMNS))
     try:
         Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -221,9 +221,7 @@ class HamiltonianCoupling:
 class QuantumLinearSystem:
     """State-space matrices of a linear quantum stochastic system.
 
-    ``physical`` is set by constructors that guarantee (or verified) that the
-    commutation-preservation residual vanishes; a freshly assembled system
-    defaults to unverified.
+    The system is physically realizable when :meth:`residual` vanishes.
     """
 
     A: np.ndarray
@@ -232,7 +230,6 @@ class QuantumLinearSystem:
     D: np.ndarray
     channels: tuple[NoiseChannel, ...]
     theta: np.ndarray | None = None  # defaults to the canonical matrix
-    physical: bool = False
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -315,7 +312,7 @@ def realize_from_hamiltonian(
     """Forward construction of ``(A, B, C, D)`` from ``(R, Lambda)``.
 
     The resulting system is an open quantum harmonic oscillator by
-    construction, hence flagged physical. ``channels`` defaults to vacuum for
+    construction, hence physically realizable. ``channels`` defaults to vacuum for
     every input; the choice does not affect the matrices.
     """
     n_x, n_w, n_y = hc.n_x, hc.n_w, hc.n_y
@@ -335,7 +332,7 @@ def realize_from_hamiltonian(
     D = np.hstack([np.eye(n_y), np.zeros((n_y, n_w - n_y))])
     if channels is None:
         channels = tuple(NoiseChannel.vacuum() for _ in range(n_w // 2))
-    return QuantumLinearSystem(A=A, B=B, C=C, D=D, channels=channels, physical=True)
+    return QuantumLinearSystem(A=A, B=B, C=C, D=D, channels=channels)
 
 
 def make_cavity_plant(kappa1: float, kappa2: float, k_n: float) -> QuantumLinearSystem:
@@ -354,7 +351,7 @@ def make_cavity_plant(kappa1: float, kappa2: float, k_n: float) -> QuantumLinear
     C = np.sqrt(kappa1) * I2
     D = np.hstack([I2, np.zeros((2, 2))])
     channels = (NoiseChannel.vacuum(), NoiseChannel.thermal(k_n))
-    return QuantumLinearSystem(A=A, B=B, C=C, D=D, channels=channels, physical=True)
+    return QuantumLinearSystem(A=A, B=B, C=C, D=D, channels=channels)
 
 
 # --- system description files -------------------------------------------------
@@ -379,8 +376,7 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
 
     Keys: ``n_x``, ``A``, ``B``, ``C``, ``D`` (row-major nested arrays) and
     ``channels`` (list of ``{"kind": "vacuum"}`` / ``{"kind": "thermal",
-    "k_n": x}``). The physical flag is set by verifying the commutation
-    residual.
+    "k_n": x}``).
     """
     matrices = {}
     for key in ("n_x", "A", "B", "C", "D", "channels"):
@@ -405,11 +401,6 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
         raise FileFormatError(str(exc)) from None
     if int(d["n_x"]) != sys.n_x:
         raise FileFormatError(f"n_x = {d['n_x']} does not match A's size {sys.n_x}")
-    res = np.linalg.norm(sys.residual())
-    if res <= 1e-8 * (1.0 + np.linalg.norm(sys.A)):
-        sys = QuantumLinearSystem(
-            A=sys.A, B=sys.B, C=sys.C, D=sys.D, channels=sys.channels, physical=True
-        )
     return sys
 
 

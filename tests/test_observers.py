@@ -1,6 +1,8 @@
 """Designer tests: the three coherent designs, the heterodyne baseline, the metric."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from numpy.testing import assert_allclose
 
 import cavity_oracle as co
 from qobs import (
+    HamiltonianCoupling,
+    NoiseChannel,
     canonical_theta,
     commutation_residual,
     default_frequency_grid,
@@ -20,10 +24,14 @@ from qobs import (
     evaluate_performance,
     integrate_covariance,
     make_cavity_plant,
+    min_vacuum_rank,
+    realize_from_hamiltonian,
+    stilde,
     transfer_function_gap,
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestAlgorithm1:
@@ -82,7 +90,7 @@ class TestAlgorithm2:
         n_ref = k1 + k2 * (1.0 + 2.0 * kn) + 1.0 + abs(co.stilde_coefficient(a, 0.0))
         ref = 2.0 * co.lyap_scalar(a, n_ref)
         plant = make_cavity_plant(k1, k2, kn)
-        _, _, curve = design_algorithm2(plant, rho_candidates=[0.0, 1e6], refine=False)
+        _, _, curve = design_algorithm2(plant, rho_candidates=[0.0, 1e6])
         big = dict(curve)[1e6]
         assert abs(big - ref) <= 1e-6 * ref
 
@@ -90,6 +98,25 @@ class TestAlgorithm2:
         plant = make_cavity_plant(0.1, 0.1, 1.0)
         with pytest.raises(Exception, match="include 0"):
             design_algorithm2(plant, rho_candidates=[0.5])
+
+    def test_rank_mismatch_plant(self):
+        # a random plant on which augment_noise used to count the vacuum rank
+        # twice, at two thresholds, and fail with an untyped numpy ValueError
+        entry = json.loads((DATA / "rank_mismatch_plant.json").read_text())["plant"]
+        lam = np.array(entry["lambda_re"]) + 1j * np.array(entry["lambda_im"])
+        channels = [
+            NoiseChannel.thermal(k_n) if kind == "thermal" else NoiseChannel.vacuum()
+            for kind, k_n in entry["channels"]
+        ]
+        plant = realize_from_hamiltonian(
+            HamiltonianCoupling(np.array(entry["R"]), lam, entry["n_y"]), channels
+        )
+        obs, _, _ = design_algorithm2(plant)
+        assert obs.n_v2 == min_vacuum_rank(stilde(obs.A_hat, obs.B_hat, obs.C_hat, plant.theta))
+        gains = [obs.B_hat, obs.B_v1, obs.B_v2]
+        blocks = [np.kron(np.eye(G.shape[1] // 2), J) for G in gains]
+        res = commutation_residual(obs.A_hat, gains, plant.theta, blocks)
+        assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
 
     def test_curve_is_deterministic(self):
         plant = make_cavity_plant(0.5, 0.01, 20.0)

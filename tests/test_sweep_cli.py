@@ -1,10 +1,15 @@
 """Sweep harness and command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qobs
 from qobs import (
     DomainError,
     ScenarioConfig,
@@ -17,9 +22,14 @@ from qobs import (
     system_from_dict,
 )
 from qobs.cli import main
-from qobs.sweep import CSV_HEADER, SCENARIOS, default_kn_grid
+from qobs.sweep import SCENARIOS, default_kn_grid
 
 TINY_RHOS = (0.0, 0.1, 1.0)
+
+CSV_HEADER = (
+    "k_n,alg1_trace,alg1_frob,alg1_nv2,alg2_trace,alg2_frob,alg2_rho,"
+    "alg3_trace,alg3_frob,alg3_nv2,alg3_transformed,classical_trace,classical_frob"
+)
 
 
 class TestScenarioConfig:
@@ -265,6 +275,16 @@ class TestCli:
         filt = system_from_dict({k: payload[k] for k in ("n_x", "A", "B", "C", "D", "channels")})
         assert filt.n_x == 2
 
+    @pytest.mark.parametrize("kn", [0.1, 10.0])  # alg3 transformed / fallback
+    @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3"])
+    def test_designed_observer_passes_check(self, alg, kn, tmp_path, capsys):
+        path = tmp_path / "plant.json"
+        save_system(make_cavity_plant(*SCENARIOS["s2"], kn), path)
+        out = tmp_path / f"{alg}.json"
+        assert main(["design", "--plant", str(path), "--algorithm", alg, "--out", str(out)]) == 0
+        assert main(["check", "--system", str(out)]) == 0
+        assert "physically realizable: yes" in capsys.readouterr().out
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep"])  # missing --out
@@ -273,3 +293,11 @@ class TestCli:
     def test_missing_file_exits_three(self, capsys):
         rc = main(["check", "--system", "/nonexistent/nope.json"])
         assert rc == 3
+
+
+def test_import_does_not_load_cli():
+    src = str(Path(qobs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qobs; print('qobs.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
