@@ -102,6 +102,8 @@ def _sweep_grid(args) -> tuple[float, ...]:
         raise _UsageError("need kn-points >= 2 and 0 <= kn-min < kn-max")
     if args.kn_min == 0:
         # log spacing needs a positive start; keep the requested zero point
+        if args.kn_max <= 1e-3:
+            raise _UsageError("with --kn-min 0 the log grid starts at 1e-3; need kn-max > 1e-3")
         grid = np.concatenate(
             [[0.0], np.logspace(np.log10(1e-3), np.log10(args.kn_max), args.kn_points - 1)]
         )
@@ -118,6 +120,8 @@ def _cmd_sweep(args) -> int:
     else:
         kappa1, kappa2 = SCENARIOS[args.scenario]
     algorithms = tuple(a for a in args.algorithms.split(",") if a)
+    if not algorithms or not set(algorithms) <= set(ALGORITHMS):
+        raise _UsageError(f"--algorithms needs a comma-separated subset of {','.join(ALGORITHMS)}")
     config = ScenarioConfig(
         kappa1=kappa1, kappa2=kappa2, kn_grid=_sweep_grid(args), algorithms=algorithms
     )

@@ -81,11 +81,14 @@ class CoherentObserver:
     C_hat: np.ndarray
     B_v1: np.ndarray
     B_v2: np.ndarray
-    n_v2: int
     noise_gain_v1: np.ndarray
     provenance: Provenance
     design: KalmanDesign
     transform: TransformResult | None = None
+
+    @property
+    def n_v2(self) -> int:
+        return self.B_v2.shape[1]
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,6 @@ def _augmented_observer(
         C_hat=C_hat,
         B_v1=aug.B_v1,
         B_v2=aug.B_v2,
-        n_v2=aug.n_v2,
         noise_gain_v1=aug.B_v1,
         provenance=provenance,
         design=kd,
@@ -156,74 +158,64 @@ def design_algorithm2(
     measurement-noise block inflated by ``rho^2 I``, augmented, and scored
     against the *true* plant. Candidates whose design fails are skipped (the
     whole call fails only if every candidate does). One golden-section pass
-    (20 iterations) then sharpens the grid minimizer.
+    (20 iterations) then sharpens the grid minimizer. Each distinct ``rho`` is
+    designed and scored once.
 
-    Returns ``(best observer, rho_opt, curve)`` with the curve holding every
-    evaluated ``(rho, trace)`` pair sorted by ``rho``.
+    Returns ``(best observer, rho_opt, curve)`` with the curve holding one
+    ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``.
     """
     if rho_candidates is None:
         rho_candidates = default_rho_grid()
-    candidates = sorted(float(r) for r in rho_candidates)
+    candidates = sorted({float(r) for r in rho_candidates})
     if not candidates:
         raise DomainError("rho candidate list must be non-empty")
     if candidates[0] != 0.0:
         raise DomainError("rho candidate list must include 0")
     eye_y = np.eye(plant.n_y)
 
-    def try_rho(rho: float):
-        kd, A_hat = _kalman_step(plant, extra_v2=rho * rho * eye_y)
-        obs = _augmented_observer(
-            plant, kd, A_hat, Provenance("alg2", rho=rho)
-        )
-        report = evaluate_performance(plant, obs)
-        return obs, report.trace
+    scored: dict[float, tuple[float, CoherentObserver]] = {}
 
-    evaluated: list[tuple[float, float, CoherentObserver]] = []
+    def score(rho: float) -> float:
+        """Trace of the ``rho`` design, designed on first use."""
+        if rho not in scored:
+            kd, A_hat = _kalman_step(plant, extra_v2=rho * rho * eye_y)
+            obs = _augmented_observer(plant, kd, A_hat, Provenance("alg2", rho=rho))
+            scored[rho] = (evaluate_performance(plant, obs).trace, obs)
+        return scored[rho][0]
+
     skipped: list[tuple[float, str]] = []
     for rho in candidates:
         try:
-            obs, tr = try_rho(rho)
+            score(rho)
         except QobsError as exc:
             logger.debug("skipping rho=%g: %s: %s", rho, exc.reason_code, exc)
             skipped.append((rho, f"{exc.reason_code}: {exc}"))
-            continue
-        evaluated.append((rho, tr, obs))
-    if not evaluated:
+    if not scored:
         reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped)
         raise DomainError(f"every rho candidate failed ({reasons})")
 
-    if len(evaluated) >= 2:
-        best_idx = min(range(len(evaluated)), key=lambda i: evaluated[i][1])
-        lo = evaluated[best_idx - 1][0] if best_idx > 0 else evaluated[best_idx][0]
-        hi = (
-            evaluated[best_idx + 1][0]
-            if best_idx + 1 < len(evaluated)
-            else evaluated[best_idx][0]
-        )
-        if hi > lo:
-            inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            c = b - inv_phi * (b - a)
-            d = a + inv_phi * (b - a)
-            for _ in range(20):
-                try:
-                    fc = try_rho(c)
-                    fd = try_rho(d)
-                except QobsError:
-                    break
-                evaluated.append((c, fc[1], fc[0]))
-                evaluated.append((d, fd[1], fd[0]))
-                if fc[1] < fd[1]:
-                    b, d = d, c
-                    c = b - inv_phi * (b - a)
-                else:
-                    a, c = c, d
-                    d = a + inv_phi * (b - a)
+    grid = list(scored)  # the candidates that scored, ascending
+    i = min(range(len(grid)), key=lambda j: scored[grid[j]][0])
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if b > a:
+        inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+        c = b - inv_phi * (b - a)
+        d = a + inv_phi * (b - a)
+        for _ in range(20):
+            try:
+                fc, fd = score(c), score(d)
+            except QobsError:
+                break
+            if fc < fd:
+                b, d = d, c
+                c = b - inv_phi * (b - a)
+            else:
+                a, c = c, d
+                d = a + inv_phi * (b - a)
 
-    evaluated.sort(key=lambda item: item[0])
-    best = min(evaluated, key=lambda item: item[1])
-    curve = [(rho, tr) for rho, tr, _ in evaluated]
-    return best[2], best[0], curve
+    curve = [(rho, scored[rho][0]) for rho in sorted(scored)]
+    rho_opt = min(curve, key=lambda item: item[1])[0]
+    return scored[rho_opt][1], rho_opt, curve
 
 
 def design_algorithm3(
@@ -251,7 +243,6 @@ def design_algorithm3(
         C_hat=C_hat,
         B_v1=tf.B_v1_tilde,
         B_v2=np.zeros((plant.n_x, 0)),
-        n_v2=0,
         noise_gain_v1=noise_gain,
         provenance=Provenance("alg3", transformed=True),
         design=kd,
@@ -279,16 +270,14 @@ def error_system(
     S_w = plant.ito.S
     if isinstance(observer, ClassicalObserver):
         gains = [plant.B - observer.K @ plant.D, -observer.K]
-        extra = observer.K.shape[1]
     else:
         gains = [
             plant.B - observer.B_hat @ plant.D,
             -observer.noise_gain_v1,
             -observer.B_v2,
         ]
-        extra = observer.noise_gain_v1.shape[1] + observer.n_v2
     B_e = np.hstack(gains)
-    S_joint = np.eye(plant.n_w + extra)
+    S_joint = np.eye(B_e.shape[1])
     S_joint[: plant.n_w, : plant.n_w] = S_w
     return observer.A_hat, B_e, S_joint
 

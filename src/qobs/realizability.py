@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DomainError,
     NonRealBv2,
     NonRealResult,
     NonRealT,
@@ -31,7 +30,7 @@ from .errors import (
     SingularX1,
 )
 from .solvers import EIG_SPLIT_RTOL, stable_subspace
-from .systems import canonical_theta, gamma_matrix, real_part_checked
+from .systems import canonical_theta, coupling_gain, real_part_checked
 
 __all__ = [
     "AugmentResult",
@@ -49,35 +48,37 @@ __all__ = [
 RANK_RTOL = 1e-9
 
 
-def _theta_for(dim: int) -> np.ndarray:
-    if dim % 2:
-        raise DomainError(f"field dimension must be even, got {dim}")
-    return canonical_theta(dim // 2)
+def skew_riccati_residual(
+    A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Residual of ``X B theta_y B^T X - X A - A^T X - C^T theta_eta C`` at ``X``.
+
+    ``theta_y`` and ``theta_eta`` are sized to the filter's input and output
+    fields.
+    """
+    A_hat = np.asarray(A_hat, dtype=float)
+    B_hat = np.asarray(B_hat, dtype=float)
+    C_hat = np.asarray(C_hat, dtype=float)
+    X = np.asarray(X, dtype=float)
+    th_y = canonical_theta(B_hat.shape[1] / 2)
+    th_eta = canonical_theta(C_hat.shape[0] / 2)
+    return (
+        X @ B_hat @ th_y @ B_hat.T @ X
+        - X @ A_hat
+        - A_hat.T @ X
+        - C_hat.T @ th_eta @ C_hat
+    )
 
 
 def stilde(
     A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """Commutation-defect matrix of a filter.
+    """Commutation-defect matrix of a filter: the skew Riccati residual at ``theta``.
 
-    ``theta B_hat theta_y B_hat^T theta - theta A_hat - A_hat^T theta
-    - C_hat^T theta_eta C_hat`` with the middle commutation matrices sized to
-    the filter's input and output fields. The result is skew-symmetric; its
-    rank equals the minimal number of extra vacuum quadratures needed to make
-    the filter physically realizable.
+    The result is skew-symmetric; its rank equals the minimal number of extra
+    vacuum quadratures needed to make the filter physically realizable.
     """
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
-    C_hat = np.asarray(C_hat, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    th_y = _theta_for(B_hat.shape[1])
-    th_eta = _theta_for(C_hat.shape[0])
-    return (
-        theta @ B_hat @ th_y @ B_hat.T @ theta
-        - theta @ A_hat
-        - A_hat.T @ theta
-        - C_hat.T @ th_eta @ C_hat
-    )
+    return skew_riccati_residual(A_hat, B_hat, C_hat, theta)
 
 
 def _defect_spectrum(S_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +121,16 @@ class AugmentResult:
     """Extra vacuum gains restoring commutation preservation.
 
     ``B_v1`` feeds back the output field (``theta C_hat^T diag(J)``); ``B_v2``
-    couples ``n_v2`` further vacuum quadratures.
+    couples ``n_v2`` further vacuum quadratures, one per column.
     """
 
     S_tilde: np.ndarray
-    n_v2: int
     B_v1: np.ndarray
     B_v2: np.ndarray
+
+    @property
+    def n_v2(self) -> int:
+        return self.B_v2.shape[1]
 
 
 def augment_noise(
@@ -137,8 +141,8 @@ def augment_noise(
     Factorizes the positive part of the Hermitian matrix ``i/4`` times the
     commutation defect: its unitary diagonalization (eigenvalues sorted
     descending, eigenvector phases pinned for reproducibility) gives a factor
-    ``W`` from which the extra gain is assembled the same way a coupling matrix
-    produces an input gain in the forward oscillator construction. ``B_v2`` is
+    ``W``, from which :func:`coupling_gain` assembles the extra gain as it
+    does an input gain in the forward oscillator construction. ``B_v2`` is
     unique only up to a symplectic-orthogonal right factor; its invariants
     ``B_v2 B_v2^T`` and ``B_v2 diag(J) B_v2^T`` are what the construction
     guarantees.
@@ -148,19 +152,17 @@ def augment_noise(
     n_x = theta.shape[0]
     S_t = stilde(A_hat, B_hat, C_hat, theta)
     eigvals, eigvecs = _defect_spectrum(S_t)
-    n_v2 = 2 * eigvals.size
-    B_v1 = theta @ C_hat.T @ _theta_for(C_hat.shape[0])
+    B_v1 = theta @ C_hat.T @ canonical_theta(C_hat.shape[0] / 2)
 
-    if n_v2 == 0:
+    if eigvals.size == 0:
         B_v2 = np.zeros((n_x, 0))
     else:
         W = np.sqrt(2.0 * eigvals)[:, None] * _fix_column_phases(eigvecs).conj().T
-        raw = 2j * theta @ np.hstack([-W.conj().T, W.T]) @ gamma_matrix(n_v2)
         try:
-            B_v2 = real_part_checked(raw)
+            B_v2 = coupling_gain(theta, W)
         except NonRealResult as exc:
             raise NonRealBv2(str(exc)) from exc
-    return AugmentResult(S_tilde=S_t, n_v2=n_v2, B_v1=B_v1, B_v2=B_v2)
+    return AugmentResult(S_tilde=S_t, B_v1=B_v1, B_v2=B_v2)
 
 
 @dataclass(frozen=True)
@@ -178,23 +180,6 @@ class TransformResult:
     B_tilde: np.ndarray
     C_tilde: np.ndarray
     B_v1_tilde: np.ndarray
-
-
-def skew_riccati_residual(
-    A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Residual of ``X B theta_y B^T X - A^T X - X A - C^T theta_eta C`` at ``X``."""
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
-    C_hat = np.asarray(C_hat, dtype=float)
-    th_y = _theta_for(B_hat.shape[1])
-    th_eta = _theta_for(C_hat.shape[0])
-    return (
-        X @ B_hat @ th_y @ B_hat.T @ X
-        - A_hat.T @ X
-        - X @ A_hat
-        - C_hat.T @ th_eta @ C_hat
-    )
 
 
 def skew_riccati_transform(
@@ -220,8 +205,8 @@ def skew_riccati_transform(
     C_hat = np.asarray(C_hat, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n_x = A_hat.shape[0]
-    th_y = _theta_for(B_hat.shape[1])
-    th_eta = _theta_for(C_hat.shape[0])
+    th_y = canonical_theta(B_hat.shape[1] / 2)
+    th_eta = canonical_theta(C_hat.shape[0] / 2)
     Z = np.block(
         [[A_hat, -B_hat @ th_y @ B_hat.T], [-C_hat.T @ th_eta @ C_hat, -A_hat.T]]
     )

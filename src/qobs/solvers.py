@@ -30,7 +30,6 @@ __all__ = [
     "solve_care",
     "solve_lyapunov",
     "integrate_covariance",
-    "care_residual",
 ]
 
 #: eigenvalues within 1e-8 * (1 + spectral radius) of the imaginary axis are
@@ -89,18 +88,6 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis[:n, :], basis[n:, :]
 
 
-def care_residual(
-    A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
-    Q: np.ndarray,
-) -> np.ndarray:
-    """Residual of the filter Riccati equation at a candidate solution ``Q``."""
-    V2_inv = np.linalg.inv(V2)
-    Abar = A - V12 @ V2_inv @ C
-    return (
-        Abar @ Q + Q @ Abar.T - Q @ C.T @ V2_inv @ C @ Q + V1 - V12 @ V2_inv @ V12.T
-    )
-
-
 def solve_care(
     A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
 ) -> KalmanDesign:
@@ -139,7 +126,7 @@ def solve_care(
         raise NoStabilizingSolution(
             f"filter pole with real part {np.max(poles.real):.3e} is not stable"
         )
-    res = float(np.linalg.norm(care_residual(A, C, V1, V12, V2, Q)))
+    res = float(np.linalg.norm(Abar @ Q + Q @ Abar.T - Q @ S @ Q + Vbar))
     return KalmanDesign(Q=Q, K=K, residual_norm=res)
 
 

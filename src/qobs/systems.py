@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -124,11 +125,18 @@ class ItoStructure:
         object.__setattr__(self, "T", _frozen_array(self.T))
 
 
+@lru_cache(maxsize=None)
 def canonical_theta(n_modes: int) -> np.ndarray:
-    """Canonical commutation matrix diag(J, ..., J) for ``n_modes`` mode pairs."""
+    """Canonical commutation matrix diag(J, ..., J) for ``n_modes`` mode pairs.
+
+    Each size is built once and shared read-only. A field of dimension ``d``
+    asks for ``d / 2`` modes, so an odd dimension is refused here too.
+    """
+    if n_modes != int(n_modes):
+        raise DomainError(f"field dimension must be even, got {2 * n_modes:g}")
     if n_modes < 1:
         raise DomainError(f"need at least one mode, got {n_modes}")
-    return np.kron(np.eye(n_modes), J2)
+    return _frozen_array(np.kron(np.eye(int(n_modes)), J2))
 
 
 def ito_structure(channels: Sequence[NoiseChannel]) -> ItoStructure:
@@ -272,7 +280,7 @@ class QuantumLinearSystem:
     def n_y(self) -> int:
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def ito(self) -> ItoStructure:
         return ito_structure(self.channels)
 
@@ -305,6 +313,16 @@ def commutation_residual(
     return res
 
 
+def coupling_gain(theta: np.ndarray, Lam: np.ndarray) -> np.ndarray:
+    """Input gain ``2i theta [-Lambda^H, Lambda^T] Gamma`` of a coupling matrix.
+
+    Raises :class:`NonRealResult` if the gain is not real.
+    """
+    return real_part_checked(
+        2j * theta @ np.hstack([-Lam.conj().T, Lam.T]) @ gamma_matrix(2 * Lam.shape[0])
+    )
+
+
 def realize_from_hamiltonian(
     hc: HamiltonianCoupling,
     channels: Sequence[NoiseChannel] | None = None,
@@ -320,8 +338,7 @@ def realize_from_hamiltonian(
     Lam = hc.Lambda
     gram = Lam.conj().T @ Lam
     A = 2.0 * theta @ (hc.R + gram.imag)
-    Gamma = gamma_matrix(n_w)
-    B = real_part_checked(2j * theta @ np.hstack([-Lam.conj().T, Lam.T]) @ Gamma)
+    B = coupling_gain(theta, Lam)
     Sigma = np.hstack([np.eye(n_y // 2), np.zeros((n_y // 2, (n_w - n_y) // 2))])
     stack = np.vstack([Lam + Lam.conj(), -1j * Lam + 1j * Lam.conj()])
     C = real_part_checked(
@@ -365,23 +382,31 @@ def _channel_from_dict(d: dict, index: int) -> NoiseChannel:
         return NoiseChannel.vacuum()
     if kind == "thermal":
         try:
-            return NoiseChannel.thermal(float(d["k_n"]))
+            k_n = float(d["k_n"])
         except KeyError:
             raise FileFormatError(f"channels[{index}]: thermal channel needs 'k_n'") from None
+        if not np.isfinite(k_n):
+            raise FileFormatError(f"channels[{index}]: non-finite k_n")
+        return NoiseChannel.thermal(k_n)
     raise FileFormatError(f"channels[{index}]: unknown kind {kind!r}")
 
 
 def system_from_dict(d: dict) -> QuantumLinearSystem:
     """Build a system from the JSON description schema.
 
-    Keys: ``n_x``, ``A``, ``B``, ``C``, ``D`` (row-major nested arrays) and
-    ``channels`` (list of ``{"kind": "vacuum"}`` / ``{"kind": "thermal",
-    "k_n": x}``).
+    Keys: ``n_x``, ``A``, ``B``, ``C``, ``D`` (row-major nested arrays of
+    finite numbers) and ``channels`` (list of ``{"kind": "vacuum"}`` /
+    ``{"kind": "thermal", "k_n": x}``). A classical design file, whose
+    provenance names the ``classical`` algorithm, is refused: it describes a
+    measurement-based filter, not a quantum system.
     """
     matrices = {}
     for key in ("n_x", "A", "B", "C", "D", "channels"):
         if key not in d:
             raise FileFormatError(f"missing key {key!r}")
+    provenance = d.get("provenance")
+    if isinstance(provenance, dict) and provenance.get("algorithm") == "classical":
+        raise FileFormatError("a classical (measurement-based) filter, not a quantum system")
     for key in ("A", "B", "C", "D"):
         try:
             matrices[key] = np.array(d[key], dtype=float)
@@ -389,6 +414,8 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
             raise FileFormatError(f"key {key!r}: not a numeric matrix ({exc})") from None
         if matrices[key].ndim != 2:
             raise FileFormatError(f"key {key!r}: expected a nested (2-d) array")
+        if not np.all(np.isfinite(matrices[key])):
+            raise FileFormatError(f"key {key!r}: non-finite entries")
     channels = tuple(
         _channel_from_dict(c, i) for i, c in enumerate(d["channels"])
     )

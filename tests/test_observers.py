@@ -10,6 +10,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import cavity_oracle as co
+import qobs.observers
 from qobs import (
     HamiltonianCoupling,
     NoiseChannel,
@@ -117,6 +118,20 @@ class TestAlgorithm2:
         blocks = [np.kron(np.eye(G.shape[1] // 2), J) for G in gains]
         res = commutation_residual(obs.A_hat, gains, plant.theta, blocks)
         assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
+
+    def test_each_rho_is_designed_once(self, monkeypatch):
+        # the golden-section pass carries one interior point forward per
+        # iteration; that point must not be designed a second time
+        calls = []
+        solve_care = qobs.observers.solve_care
+
+        def counting_solve_care(*args):
+            calls.append(args)
+            return solve_care(*args)
+
+        monkeypatch.setattr(qobs.observers, "solve_care", counting_solve_care)
+        _, _, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
+        assert len(calls) == len(curve) == len({rho for rho, _ in curve}) == 83
 
     def test_curve_is_deterministic(self):
         plant = make_cavity_plant(0.5, 0.01, 20.0)

@@ -1,5 +1,7 @@
 """Sweep harness and command-line interface tests."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -294,6 +296,52 @@ class TestCli:
         rc = main(["check", "--system", "/nonexistent/nope.json"])
         assert rc == 3
 
+    def test_classical_design_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "plant.json"
+        save_system(make_cavity_plant(*SCENARIOS["s2"], 0.1), path)
+        out = tmp_path / "classical.json"
+        assert main(["design", "--plant", str(path), "--algorithm", "classical", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--system", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "classical (measurement-based) filter, not a quantum system" in captured.err
+        assert "commutation residual" not in captured.out
+        rc = main(["design", "--plant", str(out), "--algorithm", "alg1", "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "classical (measurement-based) filter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "design"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(("A", 0, 0), "key 'A': non-finite entries"), (("channels", 1, "k_n"), "channels[1]: non-finite k_n")],
+    )
+    def test_non_finite_entry_exits_three(self, command, entry, message, plant_file, tmp_path, capsys):
+        d = json.loads(plant_file.read_text())
+        key, i, j = entry
+        d[key][i][j] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))  # json writes the bare token NaN
+        if command == "check":
+            argv = ["check", "--system", str(path)]
+        else:
+            argv = ["design", "--plant", str(path), "--algorithm", "alg1", "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+    def test_sweep_without_algorithms_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        rc = main(["sweep", "--scenario", "s1", "--algorithms", "", "--out", str(out)])
+        assert rc == 1
+        assert "--algorithms" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_zero_start_below_log_grid_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "low.csv"
+        argv = ["sweep", "--kn-min", "0", "--kn-max", "0.0005", "--kn-points", "3", "--out", str(out)]
+        assert main(argv) == 1
+        assert "kn-max > 1e-3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_import_does_not_load_cli():
     src = str(Path(qobs.__file__).resolve().parents[1])
@@ -301,3 +349,16 @@ def test_import_does_not_load_cli():
     code = "import sys, qobs; print('qobs.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_traced_names_exist():
+    # perfbench's tracer skips a traced name it cannot find, which would
+    # silently zero that layer's metrics; every name must stay a function
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.TRACED_NAMES
+    for name in module.TRACED_NAMES:
+        mod, fn = name.split(".")
+        assert callable(getattr(importlib.import_module(f"qobs.{mod}"), fn, None)), name

@@ -47,6 +47,20 @@ class TestCanonicalTheta:
         with pytest.raises(DomainError):
             canonical_theta(0)
 
+    def test_rejects_odd_field_dimension(self):
+        with pytest.raises(DomainError, match="field dimension must be even, got 3"):
+            canonical_theta(3 / 2)
+
+    def test_built_once_and_read_only(self):
+        theta = canonical_theta(2)
+        assert canonical_theta(2) is theta
+        assert not theta.flags.writeable
+
+
+def test_plant_builds_its_ito_once():
+    plant = make_cavity_plant(0.1, 0.1, 2.0)
+    assert plant.ito is plant.ito
+
 
 class TestItoStructure:
     def test_vacuum_block(self):
