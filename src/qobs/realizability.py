@@ -21,16 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    NonRealBv2,
-    NonRealResult,
-    NonRealT,
-    SingularResolvent,
-    SingularX,
-    SingularX1,
+from .errors import NonRealBv2, NonRealResult, NonRealT, SingularResolvent, SingularX
+from .solvers import riccati_residual, riccati_solution
+from .systems import (
+    CHECK_RTOL,
+    EIG_SPLIT_RTOL,
+    PIVOT_RTOL,
+    RANK_RTOL,
+    canonical_theta,
+    coupling_gain,
+    real_part_checked,
 )
-from .solvers import EIG_SPLIT_RTOL, stable_subspace
-from .systems import canonical_theta, coupling_gain, real_part_checked
 
 __all__ = [
     "AugmentResult",
@@ -41,44 +42,28 @@ __all__ = [
     "skew_riccati_transform",
     "transfer_function_gap",
     "default_frequency_grid",
-    "skew_riccati_residual",
 ]
 
-#: numerical-rank threshold relative to the largest eigenvalue of ``i S_tilde / 4``
-RANK_RTOL = 1e-9
 
+def _skew_coefficients(A_hat, B_hat, C_hat):
+    """``(F, B, M, H)`` of the filter's skew Riccati equation, as :mod:`.solvers` takes them.
 
-def skew_riccati_residual(
-    A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Residual of ``X B theta_y B^T X - X A - A^T X - C^T theta_eta C`` at ``X``.
-
-    ``theta_y`` and ``theta_eta`` are sized to the filter's input and output
-    fields.
+    The equation is ``X B_hat theta_y B_hat^T X - X A_hat - A_hat^T X -
+    C_hat^T theta_eta C_hat = 0``, the thetas sized to the input and output fields.
     """
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
-    C_hat = np.asarray(C_hat, dtype=float)
-    X = np.asarray(X, dtype=float)
-    th_y = canonical_theta(B_hat.shape[1] / 2)
+    A_hat, B_hat, C_hat = (np.asarray(M, dtype=float) for M in (A_hat, B_hat, C_hat))
     th_eta = canonical_theta(C_hat.shape[0] / 2)
-    return (
-        X @ B_hat @ th_y @ B_hat.T @ X
-        - X @ A_hat
-        - A_hat.T @ X
-        - C_hat.T @ th_eta @ C_hat
-    )
+    return A_hat, B_hat, canonical_theta(B_hat.shape[1] / 2), C_hat.T @ th_eta @ C_hat
 
 
-def stilde(
-    A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray
-) -> np.ndarray:
-    """Commutation-defect matrix of a filter: the skew Riccati residual at ``theta``.
+def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Residual of the filter's skew Riccati equation at ``X``.
 
-    The result is skew-symmetric; its rank equals the minimal number of extra
-    vacuum quadratures needed to make the filter physically realizable.
+    At ``X = theta`` it is the skew commutation-defect matrix, whose rank is the
+    minimal number of extra vacuum quadratures the filter needs to be physically
+    realizable; it vanishes at the ``X`` of :func:`skew_riccati_transform`.
     """
-    return skew_riccati_residual(A_hat, B_hat, C_hat, theta)
+    return riccati_residual(*_skew_coefficients(A_hat, B_hat, C_hat), np.asarray(X, dtype=float))
 
 
 def _defect_spectrum(S_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +94,7 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
     for j in range(V.shape[1]):
         col = V[:, j]
         big = np.abs(col)
-        significant = np.flatnonzero(big > 1e-12 * np.max(big, initial=0.0))
+        significant = np.flatnonzero(big > PIVOT_RTOL * np.max(big, initial=0.0))
         if significant.size:
             pivot = col[significant[0]]
             V[:, j] = col * (np.conj(pivot) / np.abs(pivot))
@@ -187,38 +172,29 @@ def skew_riccati_transform(
 ) -> TransformResult:
     """State transformation after which no extra ``B_v2`` channels are needed.
 
-    Builds the doubled matrix pairing the filter with its adjoint, takes the
-    stable invariant subspace ``[X1; X2]``, and forms ``X = X2 X1^-1``, which
-    is real, skew-symmetric, and solves the skew Riccati equation when the
-    three assumptions below hold. The factor ``T`` with ``X = T^T theta T``
-    comes from the spectral pairing of ``X``: eigenvalues ``+/- i lambda_j``
-    sorted by ``lambda`` descending and oriented so the principal square root
-    involved is real.
+    Solves the skew Riccati equation (the zero of :func:`stilde`) with
+    :func:`.solvers.riccati_solution`, whose ``X = X2 X1^-1`` is real and
+    skew-symmetric when the three assumptions below hold; ``[X1; X2]`` spans
+    the stable subspace of the doubled matrix pairing the filter with its
+    adjoint. The factor ``T`` with ``X = T^T theta T`` comes from the spectral
+    pairing of ``X``: eigenvalues ``+/- i lambda_j`` sorted by ``lambda``
+    descending and oriented so the principal square root involved is real.
 
     Raises, in the order checked: :class:`ImaginaryAxisEigenvalue` (the
     doubled matrix must split cleanly), :class:`SingularX1`,
     :class:`SingularX`, and :class:`NonRealT` if the residue or pairing checks
     fail.
     """
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
+    A_hat, B_hat, th_y, CtC = _skew_coefficients(A_hat, B_hat, C_hat)
     C_hat = np.asarray(C_hat, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n_x = A_hat.shape[0]
-    th_y = canonical_theta(B_hat.shape[1] / 2)
-    th_eta = canonical_theta(C_hat.shape[0] / 2)
-    Z = np.block(
-        [[A_hat, -B_hat @ th_y @ B_hat.T], [-C_hat.T @ th_eta @ C_hat, -A_hat.T]]
-    )
-    X1, X2 = stable_subspace(Z)
-    if np.linalg.cond(X1) > 1e12:
-        raise SingularX1("upper block of the stable basis is singular")
     try:
-        X = real_part_checked(X2 @ np.linalg.inv(X1))
+        X = riccati_solution(A_hat, B_hat, th_y, CtC)
     except NonRealResult as exc:
         raise NonRealT(f"Riccati solution is not real: {exc}") from exc
     sym = np.max(np.abs(X + X.T))
-    if sym > 1e-8 * (1.0 + np.max(np.abs(X))):
+    if sym > CHECK_RTOL * (1.0 + np.max(np.abs(X))):
         raise NonRealT(f"Riccati solution is not skew-symmetric (defect {sym:.3e})")
     X = (X - X.T) / 2.0
 
@@ -228,31 +204,24 @@ def skew_riccati_transform(
     lam = -mu[: n_x // 2]  # positive, descending
     if lam.size and lam[-1] <= EIG_SPLIT_RTOL * (1.0 + lam[0]):
         raise SingularX(f"skew solution has a near-zero eigenvalue {lam[-1]:.3e}")
-    V_mu = _fix_column_phases(V_mu)
-    V = np.zeros((n_x, n_x), dtype=complex)
-    D = np.zeros(n_x)
-    for j in range(n_x // 2):
-        v = V_mu[:, j]  # eigenvalue +i*lam[j] of X
-        V[:, 2 * j] = v
-        V[:, 2 * j + 1] = v.conj()  # eigenvalue -i*lam[j]
-        D[2 * j : 2 * j + 2] = np.sqrt(lam[j])
+    V_mu = _fix_column_phases(V_mu[:, : n_x // 2])  # eigenvalues +i*lam of X
+    V = np.empty((n_x, n_x), dtype=complex)
+    V[:, 0::2], V[:, 1::2] = V_mu, V_mu.conj()  # each next to its -i*lam partner
+    D = np.repeat(np.sqrt(lam), 2)
     V_pair = np.kron(np.eye(n_x // 2), np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2))
     try:
         T = real_part_checked(V_pair @ (D[:, None] * V.conj().T))
     except NonRealResult as exc:
         raise NonRealT(str(exc)) from exc
     factor_gap = np.max(np.abs(T.T @ theta @ T - X))
-    if factor_gap > 1e-8 * (1.0 + np.max(np.abs(X))):
+    if factor_gap > CHECK_RTOL * (1.0 + np.max(np.abs(X))):
         raise NonRealT(f"factorization defect {factor_gap:.3e}")
 
     T_inv = np.linalg.inv(T)
-    A_tilde = T @ A_hat @ T_inv
-    B_tilde = T @ B_hat
     C_tilde = C_hat @ T_inv
-    B_v1_tilde = theta @ C_tilde.T @ th_eta
     return TransformResult(
-        X=X, T=T, A_tilde=A_tilde, B_tilde=B_tilde, C_tilde=C_tilde,
-        B_v1_tilde=B_v1_tilde,
+        X=X, T=T, A_tilde=T @ A_hat @ T_inv, B_tilde=T @ B_hat, C_tilde=C_tilde,
+        B_v1_tilde=theta @ C_tilde.T @ canonical_theta(C_hat.shape[0] / 2),
     )
 
 
@@ -278,7 +247,7 @@ def transfer_function_gap(
     gap = 0.0
     for s in s_samples:
         dist = np.min(np.abs(poles - s))
-        if dist <= 1e-8 * (1.0 + np.abs(s)):
+        if dist <= EIG_SPLIT_RTOL * (1.0 + np.abs(s)):
             raise SingularResolvent(f"sample {s} is within {dist:.3e} of a pole")
         G1 = C1 @ np.linalg.solve(s * np.eye(A1.shape[0]) - A1, B1)
         G2 = C2 @ np.linalg.solve(s * np.eye(A2.shape[0]) - A2, B2)

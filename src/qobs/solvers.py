@@ -1,10 +1,13 @@
 """Riccati, Lyapunov, and invariant-subspace solvers for small dense systems.
 
 Everything here targets desk-scale problems (state dimensions up to ~16), so
-the continuous Lyapunov equation is solved as a vectorized linear system and
-the algebraic Riccati equation through the stable invariant subspace of its
-Hamiltonian matrix. A fixed-step integrator for the covariance flow serves as
-an independent cross-check of the Lyapunov route.
+the continuous Lyapunov equation is solved as a vectorized linear system. Both
+Riccati equations of the package, the filter CARE behind every observer and
+the skew Riccati equation of the state transformation, go through
+:func:`riccati_solution`: the stable invariant subspace ``[X1; X2]`` of the
+Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
+1979). A fixed-step integrator for the covariance flow serves as an
+independent cross-check of the Lyapunov route.
 """
 
 from __future__ import annotations
@@ -17,24 +20,23 @@ import scipy.linalg
 from .errors import (
     DomainError,
     ImaginaryAxisEigenvalue,
-    NonRealResult,
     NoStabilizingSolution,
     NotHurwitz,
+    QobsError,
+    SingularX1,
     WrongSplitCount,
 )
-from .systems import real_part_checked
+from .systems import COND_MAX, EIG_SPLIT_RTOL, real_part_checked
 
 __all__ = [
     "KalmanDesign",
     "stable_subspace",
+    "riccati_solution",
+    "riccati_residual",
     "solve_care",
     "solve_lyapunov",
     "integrate_covariance",
 ]
-
-#: eigenvalues within 1e-8 * (1 + spectral radius) of the imaginary axis are
-#: treated as lying on it
-EIG_SPLIT_RTOL = 1e-8
 
 
 def _axis_tolerance(eigvals: np.ndarray) -> float:
@@ -60,8 +62,9 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(X1, X2)``, the top and bottom ``n x n`` blocks of an
     orthonormal basis of the invariant subspace for eigenvalues with negative
-    real part, obtained from an ordered Schur decomposition (robust under
-    repeated eigenvalues, unlike stacking raw eigenvectors).
+    real part, from one ordered complex Schur decomposition (robust under
+    repeated eigenvalues, unlike raw eigenvectors) whose triangular factor
+    also gives the eigenvalues.
 
     Raises :class:`ImaginaryAxisEigenvalue` if any eigenvalue is within
     tolerance of the imaginary axis, and :class:`WrongSplitCount` if the
@@ -71,21 +74,39 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.shape[0] % 2:
         raise DomainError(f"expected a square even-dimensioned matrix, got {Z.shape}")
     n = Z.shape[0] // 2
-    eigvals = np.linalg.eigvals(Z)
+    T, U, sdim = scipy.linalg.schur(Z.astype(complex), output="complex", sort="lhp")
+    eigvals = np.diag(T)
     tol = _axis_tolerance(eigvals)
     closest = np.min(np.abs(eigvals.real))
     if closest <= tol:
         raise ImaginaryAxisEigenvalue(
             f"eigenvalue with |real part| = {closest:.3e} within tolerance {tol:.3e}"
         )
-    n_stable = int(np.sum(eigvals.real < 0))
-    if n_stable != n:
-        raise WrongSplitCount(f"stable subspace has dimension {n_stable}, expected {n}")
-    _, U, sdim = scipy.linalg.schur(Z.astype(complex), output="complex", sort="lhp")
     if sdim != n:
-        raise WrongSplitCount(f"ordered Schur selected {sdim} eigenvalues, expected {n}")
-    basis = U[:, :n]
-    return basis[:n, :], basis[n:, :]
+        raise WrongSplitCount(f"stable subspace has dimension {sdim}, expected {n}")
+    return U[:n, :n], U[n:, :n]
+
+
+def riccati_solution(F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Solution ``X`` of ``X B M B^T X - X F - F^T X - H = 0`` from its stable subspace.
+
+    Takes the stable invariant subspace ``[X1; X2]`` of the Hamiltonian
+    ``[[F, -B M B^T], [-H, -F^T]]`` and returns ``X = X2 X1^-1``, so that
+    ``F - B M B^T X`` is Hurwitz. Raises what :func:`stable_subspace` raises,
+    :class:`SingularX1` when ``cond(X1)`` exceeds ``COND_MAX``, and
+    :class:`NonRealResult` when ``X`` is not real.
+    """
+    X1, X2 = stable_subspace(np.block([[F, -B @ M @ B.T], [-H, -F.T]]))
+    if np.linalg.cond(X1) > COND_MAX:
+        raise SingularX1("upper block of the stable basis is singular")
+    return real_part_checked(X2 @ np.linalg.inv(X1))
+
+
+def riccati_residual(
+    F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Residual ``X B M B^T X - X F - F^T X - H`` of the Riccati equation at ``X``."""
+    return X @ B @ M @ B.T @ X - X @ F - F.T @ X - H
 
 
 def solve_care(
@@ -94,31 +115,18 @@ def solve_care(
     """Stabilizing solution of the steady-state filter Riccati equation.
 
     Solves ``Abar Q + Q Abar^T - Q C^T V2^-1 C Q + V1 - V12 V2^-1 V12^T = 0``
-    with ``Abar = A - V12 V2^-1 C`` through the stable invariant subspace of
-    the associated Hamiltonian matrix, then forms the filter gain
+    with ``Abar = A - V12 V2^-1 C`` through :func:`riccati_solution` (with
+    ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
     ``K = (Q C^T + V12) V2^-1``. The construction guarantees ``A - K C`` is
     Hurwitz whenever it succeeds.
     """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    V1 = np.asarray(V1, dtype=float)
-    V12 = np.asarray(V12, dtype=float)
-    V2 = np.asarray(V2, dtype=float)
+    A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
     V2_inv = np.linalg.inv(V2)
-    Abar = A - V12 @ V2_inv @ C
-    S = C.T @ V2_inv @ C
-    Vbar = V1 - V12 @ V2_inv @ V12.T
-    H = np.block([[Abar.T, -S], [-Vbar, -Abar]])
+    coefficients = ((A - V12 @ V2_inv @ C).T, C.T, V2_inv, V1 - V12 @ V2_inv @ V12.T)
     try:
-        X1, X2 = stable_subspace(H)
-    except (ImaginaryAxisEigenvalue, WrongSplitCount) as exc:
-        raise NoStabilizingSolution(f"Hamiltonian split failed: {exc}") from exc
-    if np.linalg.cond(X1) > 1e12:
-        raise NoStabilizingSolution("upper block of the stable basis is singular")
-    try:
-        Q = real_part_checked(X2 @ np.linalg.inv(X1))
-    except (np.linalg.LinAlgError, NonRealResult) as exc:
-        raise NoStabilizingSolution(str(exc)) from exc
+        Q = riccati_solution(*coefficients)
+    except (QobsError, np.linalg.LinAlgError) as exc:
+        raise NoStabilizingSolution(f"{type(exc).__name__}: {exc}") from exc
     Q = (Q + Q.T) / 2.0
     K = (Q @ C.T + V12) @ V2_inv
     poles = np.linalg.eigvals(A - K @ C)
@@ -126,7 +134,7 @@ def solve_care(
         raise NoStabilizingSolution(
             f"filter pole with real part {np.max(poles.real):.3e} is not stable"
         )
-    res = float(np.linalg.norm(Abar @ Q + Q @ Abar.T - Q @ S @ Q + Vbar))
+    res = float(np.linalg.norm(riccati_residual(*coefficients, Q)))
     return KalmanDesign(Q=Q, K=K, residual_norm=res)
 
 

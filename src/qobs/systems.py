@@ -41,11 +41,23 @@ __all__ = [
     "save_system",
 ]
 
+# --- tolerance table: every numerical threshold of the package ----------------
+
+#: imaginary residue allowed in a must-be-real matrix, relative to its largest entry
+IMAG_RESIDUE_RTOL = 1e-9
+#: zero in a spectral split: imaginary-axis eigenvalue, zero eigenvalue of X, sample on a pole
+EIG_SPLIT_RTOL = 1e-8
+#: numerical rank, relative to the largest eigenvalue of ``i S_tilde / 4``
+RANK_RTOL = 1e-9
+#: a defect that must vanish: the skew part of X, T^T theta T - X, the `qobs check` residual
+CHECK_RTOL = 1e-8
+#: largest ``cond(X1)`` for which ``X = X2 X1^-1`` is formed
+COND_MAX = 1e12
+#: share of a column's largest entry below which no entry is its phase pivot
+PIVOT_RTOL = 1e-12
+
 #: single-mode commutation block
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-#: relative scale below which imaginary parts of must-be-real matrices are dropped
-IMAG_RESIDUE_RTOL = 1e-9
 
 
 def _require_even(n: int, what: str) -> None:
@@ -381,13 +393,15 @@ def _channel_from_dict(d: dict, index: int) -> NoiseChannel:
     if kind == "vacuum":
         return NoiseChannel.vacuum()
     if kind == "thermal":
-        try:
-            k_n = float(d["k_n"])
-        except KeyError:
-            raise FileFormatError(f"channels[{index}]: thermal channel needs 'k_n'") from None
-        if not np.isfinite(k_n):
+        if "k_n" not in d:
+            raise FileFormatError(f"channels[{index}]: thermal channel needs 'k_n'")
+        try:  # a DomainError (negative k_n) is a ValueError too
+            channel = NoiseChannel.thermal(d["k_n"])
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"channels[{index}]: k_n = {d['k_n']!r}: {exc}") from None
+        if not np.isfinite(channel.k_n):
             raise FileFormatError(f"channels[{index}]: non-finite k_n")
-        return NoiseChannel.thermal(k_n)
+        return channel
     raise FileFormatError(f"channels[{index}]: unknown kind {kind!r}")
 
 
@@ -400,10 +414,18 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
     provenance names the ``classical`` algorithm, is refused: it describes a
     measurement-based filter, not a quantum system.
     """
+    if not isinstance(d, dict):
+        raise FileFormatError(f"expected a JSON object, got {type(d).__name__}")
     matrices = {}
     for key in ("n_x", "A", "B", "C", "D", "channels"):
         if key not in d:
             raise FileFormatError(f"missing key {key!r}")
+    try:
+        n_x = int(d["n_x"])
+    except (TypeError, ValueError, OverflowError):
+        raise FileFormatError(f"n_x = {d['n_x']!r} is not an integer") from None
+    if not isinstance(d["channels"], list):
+        raise FileFormatError("key 'channels': expected a list of channels")
     provenance = d.get("provenance")
     if isinstance(provenance, dict) and provenance.get("algorithm") == "classical":
         raise FileFormatError("a classical (measurement-based) filter, not a quantum system")
@@ -426,7 +448,7 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
         )
     except DomainError as exc:
         raise FileFormatError(str(exc)) from None
-    if int(d["n_x"]) != sys.n_x:
+    if n_x != sys.n_x:
         raise FileFormatError(f"n_x = {d['n_x']} does not match A's size {sys.n_x}")
     return sys
 

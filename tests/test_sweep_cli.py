@@ -328,6 +328,46 @@ class TestCli:
         assert main(argv) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "design"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_x", "abc", "n_x = 'abc' is not an integer"),
+            ("n_x", None, "n_x = None is not an integer"),
+            ("channels", 5, "key 'channels': expected a list"),
+            ("k_n", "abc", "channels[1]: k_n = 'abc': could not convert"),
+            ("k_n", None, "channels[1]: k_n = None: float() argument"),
+            ("k_n", -1.0, "channels[1]: k_n = -1.0: thermal occupation must be non-negative"),
+        ],
+    )
+    def test_malformed_entry_exits_three(self, command, key, value, message, plant_file, tmp_path, capsys):
+        d = json.loads(plant_file.read_text())
+        if key == "k_n":
+            d["channels"][1]["k_n"] = value
+        else:
+            d[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        if command == "check":
+            argv = ["check", "--system", str(path)]
+        else:
+            argv = ["design", "--plant", str(path), "--algorithm", "alg1", "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_sweep_from_zero_ends_at_kn_max(self, points, tmp_path):
+        out = tmp_path / "zero.csv"
+        argv = [
+            "sweep", "--kn-min", "0", "--kn-max", "50", "--kn-points", str(points),
+            "--algorithms", "alg1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == points
+        assert float(rows[0].split(",")[0]) == 0.0
+        assert float(rows[-1].split(",")[0]) == 50.0
+
     def test_sweep_without_algorithms_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "none.csv"
         rc = main(["sweep", "--scenario", "s1", "--algorithms", "", "--out", str(out)])
