@@ -1,19 +1,21 @@
 """Coherent observer design and performance evaluation.
 
-All designers start from the steady-state Kalman filter of the plant with the
-quantum inputs treated as classical Wiener processes of intensity ``S_w``:
+Every designer is the steady-state Kalman filter of the plant, with the
+quantum inputs treated as classical Wiener processes of intensity ``S_w`` and
+the measurement-noise block ``V2`` inflated to ``V2 + rho^2 I``. The
+designers differ only in ``rho`` and in how the filter is then made
+physically realizable:
 
-* :func:`design_algorithm1` implements the filter as a quantum system by
-  adding the minimal extra vacuum channels.
-* :func:`design_algorithm2` first inflates the measurement-noise block by
-  ``rho^2 I`` to compensate for the extra channels, then picks the ``rho``
-  whose augmented observer performs best against the true plant.
-* :func:`design_algorithm3` tries to re-coordinate the filter so that no
-  ``B_v2`` channels are needed at all, reverting to the first design when the
-  transformation does not exist.
-* :func:`design_classical` is the measurement-based baseline: heterodyne
-  detection (one extra unit of vacuum noise on the output) followed by a
-  Kalman filter.
+* :func:`design_algorithm1` (``rho = 0``) adds the minimal extra vacuum
+  channels.
+* :func:`design_algorithm2` searches ``rho`` for the augmented filter that
+  performs best against the true plant.
+* :func:`design_algorithm3` (``rho = 0``) re-coordinates the algorithm-1
+  filter so that no ``B_v2`` channels are needed at all, keeping the
+  algorithm-1 observer when the transformation does not exist.
+* :func:`design_classical` (``rho = 1``) is the measurement-based baseline:
+  heterodyne detection adds one unit of vacuum noise to the output, and the
+  filter runs on that record.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -22,7 +24,7 @@ the Lyapunov equation of the estimation-error dynamics.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -71,9 +73,6 @@ class CoherentObserver:
     ``B_v1``/``B_v2`` are the extra vacuum gains in the coordinates where the
     commutation-preservation identity holds (the transformed ones for a
     successful algorithm-3 design, whose ``transform`` is then attached).
-    ``noise_gain_v1`` is the effective ``v1`` gain entering the error dynamics
-    in plant coordinates: ``B_v1`` itself for algorithms 1 and 2,
-    ``T^-1 B_v1_tilde`` for a transformed design.
     """
 
     A_hat: np.ndarray
@@ -81,7 +80,6 @@ class CoherentObserver:
     C_hat: np.ndarray
     B_v1: np.ndarray
     B_v2: np.ndarray
-    noise_gain_v1: np.ndarray
     provenance: Provenance
     design: KalmanDesign
     transform: TransformResult | None = None
@@ -89,6 +87,16 @@ class CoherentObserver:
     @property
     def n_v2(self) -> int:
         return self.B_v2.shape[1]
+
+    @property
+    def noise_gain_v1(self) -> np.ndarray:
+        """The ``v1`` gain entering the error dynamics in plant coordinates.
+
+        ``B_v1`` itself, or ``T^-1 B_v1`` when a transformation is attached.
+        """
+        if self.transform is None:
+            return self.B_v1
+        return np.linalg.solve(self.transform.T, self.B_v1)
 
 
 @dataclass(frozen=True)
@@ -110,19 +118,20 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _kalman_step(plant: QuantumLinearSystem, extra_v2: np.ndarray | None = None):
+def _kalman_step(plant: QuantumLinearSystem, rho: float):
+    """The plant's Kalman filter designed against measurement noise ``V2 + rho^2 I``."""
     S_w = plant.ito.S
-    V2 = plant.D @ S_w @ plant.D.T
-    if extra_v2 is not None:
-        V2 = V2 + extra_v2
+    V2 = plant.D @ S_w @ plant.D.T + rho * rho * np.eye(plant.n_y)
     kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
     A_hat = plant.A - kd.K @ plant.C
     return kd, A_hat
 
 
-def _augmented_observer(
-    plant: QuantumLinearSystem, kd: KalmanDesign, A_hat: np.ndarray, provenance: Provenance
+def _augmented_design(
+    plant: QuantumLinearSystem, rho: float, provenance: Provenance
 ) -> CoherentObserver:
+    """The ``rho`` filter made quantum by minimal vacuum-noise augmentation."""
+    kd, A_hat = _kalman_step(plant, rho)
     C_hat = np.eye(plant.n_x)
     aug = augment_noise(A_hat, kd.K, C_hat, plant.theta)
     return CoherentObserver(
@@ -131,7 +140,6 @@ def _augmented_observer(
         C_hat=C_hat,
         B_v1=aug.B_v1,
         B_v2=aug.B_v2,
-        noise_gain_v1=aug.B_v1,
         provenance=provenance,
         design=kd,
     )
@@ -139,8 +147,7 @@ def _augmented_observer(
 
 def design_algorithm1(plant: QuantumLinearSystem) -> CoherentObserver:
     """Kalman filter made quantum by minimal vacuum-noise augmentation."""
-    kd, A_hat = _kalman_step(plant)
-    return _augmented_observer(plant, kd, A_hat, Provenance("alg1"))
+    return _augmented_design(plant, 0.0, Provenance("alg1"))
 
 
 def default_rho_grid() -> np.ndarray:
@@ -171,15 +178,13 @@ def design_algorithm2(
         raise DomainError("rho candidate list must be non-empty")
     if candidates[0] != 0.0:
         raise DomainError("rho candidate list must include 0")
-    eye_y = np.eye(plant.n_y)
 
     scored: dict[float, tuple[float, CoherentObserver]] = {}
 
     def score(rho: float) -> float:
         """Trace of the ``rho`` design, designed on first use."""
         if rho not in scored:
-            kd, A_hat = _kalman_step(plant, extra_v2=rho * rho * eye_y)
-            obs = _augmented_observer(plant, kd, A_hat, Provenance("alg2", rho=rho))
+            obs = _augmented_design(plant, rho, Provenance("alg2", rho=rho))
             scored[rho] = (evaluate_performance(plant, obs).trace, obs)
         return scored[rho][0]
 
@@ -223,37 +228,26 @@ def design_algorithm3(
 ) -> tuple[CoherentObserver, str | None]:
     """Transformation-based design with fallback to the augmentation design.
 
-    Attempts the skew Riccati state transformation of the Kalman filter; on
-    success the observer needs no ``B_v2`` channels and its ``v1`` noise
-    enters plant coordinates through ``T^-1 B_v1_tilde``. On failure the
+    Attempts the skew Riccati state transformation of the algorithm-1
+    filter; on success the observer needs no ``B_v2`` channels and carries
+    the transformed ``B_v1_tilde`` as its ``B_v1``. On failure the
     algorithm-1 observer is returned together with the typed reason, which
     its provenance also records as ``fallback_reason``.
     """
-    kd, A_hat = _kalman_step(plant)
-    C_hat = np.eye(plant.n_x)
+    obs = design_algorithm1(plant)
     try:
-        tf = skew_riccati_transform(A_hat, kd.K, C_hat, plant.theta)
+        tf = skew_riccati_transform(obs.A_hat, obs.B_hat, obs.C_hat, plant.theta)
     except QobsError as exc:
         provenance = Provenance("alg3", transformed=False, fallback_reason=exc.reason_code)
-        return _augmented_observer(plant, kd, A_hat, provenance), exc.reason_code
-    noise_gain = np.linalg.solve(tf.T, tf.B_v1_tilde)
-    obs = CoherentObserver(
-        A_hat=A_hat,
-        B_hat=kd.K,
-        C_hat=C_hat,
-        B_v1=tf.B_v1_tilde,
-        B_v2=np.zeros((plant.n_x, 0)),
-        noise_gain_v1=noise_gain,
-        provenance=Provenance("alg3", transformed=True),
-        design=kd,
-        transform=tf,
-    )
-    return obs, None
+        return replace(obs, provenance=provenance), exc.reason_code
+    provenance = Provenance("alg3", transformed=True)
+    no_v2 = np.zeros((plant.n_x, 0))
+    return replace(obs, B_v1=tf.B_v1_tilde, B_v2=no_v2, provenance=provenance, transform=tf), None
 
 
 def design_classical(plant: QuantumLinearSystem) -> ClassicalObserver:
-    """Kalman filter on the heterodyne record ``dy + dw_H`` (vacuum ``w_H``)."""
-    kd, A_hat = _kalman_step(plant, extra_v2=np.eye(plant.n_y))
+    """Kalman filter on the heterodyne record ``dy + dw_H``, whose vacuum ``w_H`` makes ``rho = 1``."""
+    kd, A_hat = _kalman_step(plant, 1.0)
     return ClassicalObserver(K=kd.K, A_hat=A_hat, design=kd)
 
 

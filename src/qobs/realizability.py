@@ -225,9 +225,9 @@ def skew_riccati_transform(
     )
 
 
-def default_frequency_grid(n: int = 8, w_min: float = 0.1, w_max: float = 10.0) -> np.ndarray:
-    """Imaginary-axis samples ``i w`` with ``w`` log-spaced in ``[w_min, w_max]``."""
-    return 1j * np.logspace(np.log10(w_min), np.log10(w_max), n)
+def default_frequency_grid() -> np.ndarray:
+    """Eight imaginary-axis samples ``i w`` with ``w`` log-spaced in ``[0.1, 10]``."""
+    return 1j * np.logspace(-1.0, 1.0, 8)
 
 
 def transfer_function_gap(

@@ -118,9 +118,14 @@ def solve_care(
     with ``Abar = A - V12 V2^-1 C`` through :func:`riccati_solution` (with
     ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
     ``K = (Q C^T + V12) V2^-1``. The construction guarantees ``A - K C`` is
-    Hurwitz whenever it succeeds.
+    Hurwitz whenever it succeeds. Raises :class:`DomainError` when the
+    measurement-noise intensity ``V2`` is not positive definite.
     """
     A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
+    try:
+        np.linalg.cholesky(V2)
+    except np.linalg.LinAlgError:
+        raise DomainError("measurement-noise intensity V2 is not positive definite") from None
     V2_inv = np.linalg.inv(V2)
     coefficients = ((A - V12 @ V2_inv @ C).T, C.T, V2_inv, V1 - V12 @ V2_inv @ V12.T)
     try:

@@ -41,14 +41,14 @@ __all__ = [
 #: mirror couplings (kappa1, kappa2) of the three named scenarios
 SCENARIOS = {"s1": (0.1, 0.1), "s2": (0.5, 0.01), "s3": (0.8, 0.01)}
 
-#: ``name -> designer(plant, rho_candidates=None)`` returning the observer;
-#: the lambdas resolve the designers through this module's globals at call
-#: time, so a wrapper installed there is the one that runs
+#: ``name -> designer(plant)`` returning the observer; the lambdas resolve
+#: the designers through this module's globals at call time, so a wrapper
+#: installed there is the one that runs
 DESIGNERS = {
-    "alg1": lambda plant, rho_candidates=None: design_algorithm1(plant),
-    "alg2": lambda plant, rho_candidates=None: design_algorithm2(plant, rho_candidates)[0],
-    "alg3": lambda plant, rho_candidates=None: design_algorithm3(plant)[0],
-    "classical": lambda plant, rho_candidates=None: design_classical(plant),
+    "alg1": lambda plant: design_algorithm1(plant),
+    "alg2": lambda plant: design_algorithm2(plant)[0],
+    "alg3": lambda plant: design_algorithm3(plant)[0],
+    "classical": lambda plant: design_classical(plant),
 }
 
 ALGORITHMS = tuple(DESIGNERS)
@@ -58,9 +58,9 @@ ALGORITHMS = tuple(DESIGNERS)
 TRANSITION_KNS = (69.0, 70.0, 909.0, 910.0)
 
 
-def default_kn_grid(n_points: int = 60) -> tuple[float, ...]:
-    """Log-spaced thermal intensities plus the transition-bracketing integers."""
-    grid = np.logspace(np.log10(0.01), np.log10(1e4), n_points)
+def default_kn_grid() -> tuple[float, ...]:
+    """60 log-spaced thermal intensities in ``[0.01, 1e4]`` plus the transition-bracketing integers."""
+    grid = np.logspace(np.log10(0.01), np.log10(1e4), 60)
     return tuple(sorted(set(float(k) for k in grid) | set(TRANSITION_KNS)))
 
 
@@ -71,7 +71,6 @@ class ScenarioConfig:
     kappa1: float
     kappa2: float
     kn_grid: tuple[float, ...]
-    rho_candidates: tuple[float, ...] | None = None
     algorithms: tuple[str, ...] = ALGORITHMS
 
     def __post_init__(self) -> None:
@@ -90,19 +89,10 @@ class ScenarioConfig:
         if unknown:
             raise DomainError(f"unknown algorithms: {sorted(unknown)}")
         object.__setattr__(self, "algorithms", algs)
-        if self.rho_candidates is not None:
-            object.__setattr__(
-                self, "rho_candidates", tuple(float(r) for r in self.rho_candidates)
-            )
 
 
-def scenario_config(
-    name: str,
-    kn_grid: Sequence[float] | None = None,
-    algorithms: Sequence[str] = ALGORITHMS,
-    rho_candidates: Sequence[float] | None = None,
-) -> ScenarioConfig:
-    """Config for one of the named scenarios ``s1``/``s2``/``s3``."""
+def scenario_config(name: str, kn_grid: Sequence[float] | None = None) -> ScenarioConfig:
+    """Config for one of the named scenarios ``s1``/``s2``/``s3``, every designer included."""
     if name not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
     kappa1, kappa2 = SCENARIOS[name]
@@ -110,8 +100,6 @@ def scenario_config(
         kappa1=kappa1,
         kappa2=kappa2,
         kn_grid=tuple(kn_grid) if kn_grid is not None else default_kn_grid(),
-        rho_candidates=rho_candidates,
-        algorithms=tuple(algorithms),
     )
 
 
@@ -166,7 +154,7 @@ def _sweep_point(config: ScenarioConfig, k_n: float) -> SweepRow:
         if alg not in config.algorithms:
             continue
         try:
-            obs = design(plant, config.rho_candidates)
+            obs = design(plant)
             rep = evaluate_performance(plant, obs)
         except QobsError as exc:
             row.errors[alg] = f"{exc.reason_code}: {exc}"

@@ -65,7 +65,7 @@ def _require_even(n: int, what: str) -> None:
         raise DomainError(f"{what} must be a positive even integer, got {n}")
 
 
-def real_part_checked(M: np.ndarray, rtol: float = IMAG_RESIDUE_RTOL) -> np.ndarray:
+def real_part_checked(M: np.ndarray) -> np.ndarray:
     """Drop the imaginary part of ``M`` after verifying it is negligible.
 
     The allowance scales with the largest entry magnitude so that the check is
@@ -74,7 +74,7 @@ def real_part_checked(M: np.ndarray, rtol: float = IMAG_RESIDUE_RTOL) -> np.ndar
     round-off.
     """
     M = np.asarray(M)
-    scale = rtol * (1.0 + np.max(np.abs(M), initial=0.0))
+    scale = IMAG_RESIDUE_RTOL * (1.0 + np.max(np.abs(M), initial=0.0))
     residue = np.max(np.abs(M.imag), initial=0.0)
     if residue > scale:
         raise NonRealResult(
@@ -241,7 +241,8 @@ class HamiltonianCoupling:
 class QuantumLinearSystem:
     """State-space matrices of a linear quantum stochastic system.
 
-    The system is physically realizable when :meth:`residual` vanishes.
+    The system is physically realizable when :meth:`residual` vanishes; its
+    commutation matrix ``theta`` is the canonical one.
     """
 
     A: np.ndarray
@@ -249,7 +250,6 @@ class QuantumLinearSystem:
     C: np.ndarray
     D: np.ndarray
     channels: tuple[NoiseChannel, ...]
-    theta: np.ndarray | None = None  # defaults to the canonical matrix
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -270,13 +270,7 @@ class QuantumLinearSystem:
             raise DomainError(
                 f"need {n_w // 2} channels for {n_w} input columns, got {len(self.channels)}"
             )
-        theta = self.theta
-        if theta is None:
-            theta = canonical_theta(n_x // 2)
-        theta = np.asarray(theta, dtype=float)
-        if not np.allclose(theta @ theta, -np.eye(n_x)):
-            raise DomainError("theta must be canonical (theta^2 = -I)")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("theta", theta)):
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, _frozen_array(M))
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -291,6 +285,10 @@ class QuantumLinearSystem:
     @property
     def n_y(self) -> int:
         return self.C.shape[0]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return canonical_theta(self.n_x // 2)
 
     @cached_property
     def ito(self) -> ItoStructure:

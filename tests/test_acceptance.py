@@ -8,6 +8,7 @@ import numpy as np
 import cavity_oracle as co
 from qobs import (
     HamiltonianCoupling,
+    QobsError,
     canonical_theta,
     commutation_residual,
     default_frequency_grid,
@@ -160,7 +161,7 @@ def test_criterion_5_realizability_property_suite():
         checked += 1
         try:
             tf = skew_riccati_transform(A_hat, B_hat, C_hat, theta)
-        except Exception:
+        except QobsError:
             continue
         transformed += 1
         res0 = commutation_residual(

@@ -27,12 +27,27 @@ from qobs import (
     make_cavity_plant,
     min_vacuum_rank,
     realize_from_hamiltonian,
+    solve_care,
     stilde,
     transfer_function_gap,
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture
+def care_calls(monkeypatch):
+    """The argument tuples of every ``solve_care`` call the designers make."""
+    calls = []
+    solve_care = qobs.observers.solve_care
+
+    def counting_solve_care(*args):
+        calls.append(args)
+        return solve_care(*args)
+
+    monkeypatch.setattr(qobs.observers, "solve_care", counting_solve_care)
+    return calls
 
 
 class TestAlgorithm1:
@@ -119,19 +134,11 @@ class TestAlgorithm2:
         res = commutation_residual(obs.A_hat, gains, plant.theta, blocks)
         assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
 
-    def test_each_rho_is_designed_once(self, monkeypatch):
+    def test_each_rho_is_designed_once(self, care_calls):
         # the golden-section pass carries one interior point forward per
         # iteration; that point must not be designed a second time
-        calls = []
-        solve_care = qobs.observers.solve_care
-
-        def counting_solve_care(*args):
-            calls.append(args)
-            return solve_care(*args)
-
-        monkeypatch.setattr(qobs.observers, "solve_care", counting_solve_care)
         _, _, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
-        assert len(calls) == len(curve) == len({rho for rho, _ in curve}) == 83
+        assert len(care_calls) == len(curve) == len({rho for rho, _ in curve}) == 83
 
     def test_curve_is_deterministic(self):
         plant = make_cavity_plant(0.5, 0.01, 20.0)
@@ -175,9 +182,22 @@ class TestAlgorithm3:
         assert reason == "ImaginaryAxisEigenvalue"
         assert obs3.provenance.algorithm == "alg3"
         assert obs3.provenance.transformed is False
-        assert np.array_equal(obs3.B_v1, obs1.B_v1)
-        assert np.array_equal(obs3.B_v2, obs1.B_v2)
+        assert obs3.transform is None
+        for name in ("A_hat", "B_hat", "C_hat", "B_v1", "B_v2", "noise_gain_v1"):
+            assert np.array_equal(getattr(obs3, name), getattr(obs1, name)), name
+        assert np.array_equal(obs3.design.Q, obs1.design.Q)
+        assert np.array_equal(obs3.design.K, obs1.design.K)
         assert obs3.n_v2 == obs1.n_v2 == 2
+
+    @pytest.mark.parametrize("kn", [69.0, 70.0])  # transformed / fallback
+    def test_one_kalman_solve(self, care_calls, kn):
+        design_algorithm3(make_cavity_plant(*co.S2, kn))
+        assert len(care_calls) == 1
+
+    def test_transformed_noise_gain_is_derived(self):
+        obs, _ = design_algorithm3(make_cavity_plant(*co.S2, 69.0))
+        assert np.array_equal(obs.B_v1, obs.transform.B_v1_tilde)
+        assert np.array_equal(obs.noise_gain_v1, np.linalg.solve(obs.transform.T, obs.B_v1))
 
     def test_success_passes_zero_channel_commutation_test(self):
         plant = make_cavity_plant(0.5, 0.01, 69.0)
@@ -203,6 +223,27 @@ class TestAlgorithm3:
 
 
 class TestClassical:
+    def test_one_kalman_solve(self, care_calls):
+        design_classical(make_cavity_plant(*co.S2, 69.0))
+        assert len(care_calls) == 1
+
+    def test_gain_is_the_unit_inflation_filter(self):
+        # heterodyne detection adds one unit of vacuum noise to the record:
+        # the filter of the rho = 1 family member, designed against V2 + I
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(4, 4))
+        lam = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        plant = realize_from_hamiltonian(
+            HamiltonianCoupling((G + G.T) / 2.0, lam, n_y=2),
+            [NoiseChannel.vacuum(), NoiseChannel.thermal(3.0)],
+        )
+        S_w = plant.ito.S
+        V2 = plant.D @ S_w @ plant.D.T + np.eye(2)
+        kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
+        K = design_classical(plant).K
+        assert np.array_equal(K, kd.K)
+        assert np.array_equal(K, qobs.observers._kalman_step(plant, 1.0)[0].K)
+
     def test_vacuum_limit_gain_and_metric(self):
         plant = make_cavity_plant(0.1, 0.1, 0.0)
         obs = design_classical(plant)

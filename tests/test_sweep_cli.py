@@ -22,11 +22,10 @@ from qobs import (
     save_system,
     scenario_config,
     system_from_dict,
+    system_to_dict,
 )
 from qobs.cli import main
 from qobs.sweep import SCENARIOS, default_kn_grid
-
-TINY_RHOS = (0.0, 0.1, 1.0)
 
 CSV_HEADER = (
     "k_n,alg1_trace,alg1_frob,alg1_nv2,alg2_trace,alg2_frob,alg2_rho,"
@@ -59,7 +58,7 @@ class TestScenarioConfig:
 
 class TestRunSweep:
     def test_vacuum_point_values(self):
-        cfg = ScenarioConfig(0.1, 0.1, kn_grid=(0.0,), rho_candidates=TINY_RHOS)
+        cfg = ScenarioConfig(0.1, 0.1, kn_grid=(0.0,))
         (row,) = run_sweep(cfg)
         assert row.alg1_trace == pytest.approx(20.0, abs=1e-9)
         assert row.classical_trace == pytest.approx(2.0, abs=1e-9)
@@ -68,7 +67,7 @@ class TestRunSweep:
 
     def test_transformation_boundary_flags(self):
         cfg = ScenarioConfig(
-            0.5, 0.01, kn_grid=(69.0, 70.0), rho_candidates=TINY_RHOS
+            0.5, 0.01, kn_grid=(69.0, 70.0)
         )
         rows = run_sweep(cfg)
         assert rows[0].alg3_transformed is True and rows[0].alg3_nv2 == 0
@@ -76,7 +75,7 @@ class TestRunSweep:
         assert rows[1].alg3_failure_reason == "ImaginaryAxisEigenvalue"
 
     def test_deterministic(self):
-        cfg = ScenarioConfig(0.5, 0.01, kn_grid=(0.5, 3.0), rho_candidates=TINY_RHOS)
+        cfg = ScenarioConfig(0.5, 0.01, kn_grid=(0.5, 3.0))
         a = run_sweep(cfg)
         b = run_sweep(cfg)
         for ra, rb in zip(a, b):
@@ -91,7 +90,7 @@ class TestRunSweep:
 
 class TestEmitCsv:
     def test_header_and_field_count(self, tmp_path):
-        cfg = ScenarioConfig(0.1, 0.1, kn_grid=(0.0,), rho_candidates=TINY_RHOS)
+        cfg = ScenarioConfig(0.1, 0.1, kn_grid=(0.0,))
         out = tmp_path / "rows.csv"
         emit_csv(run_sweep(cfg), out)
         lines = out.read_text().splitlines()
@@ -100,7 +99,7 @@ class TestEmitCsv:
         assert len(lines[1].split(",")) == 13
 
     def test_fallback_row_contents(self, tmp_path):
-        cfg = ScenarioConfig(0.5, 0.01, kn_grid=(70.0,), rho_candidates=TINY_RHOS)
+        cfg = ScenarioConfig(0.5, 0.01, kn_grid=(70.0,))
         out = tmp_path / "rows.csv"
         emit_csv(run_sweep(cfg), out)
         cells = out.read_text().splitlines()[1].split(",")
@@ -286,6 +285,24 @@ class TestCli:
         assert main(["design", "--plant", str(path), "--algorithm", alg, "--out", str(out)]) == 0
         assert main(["check", "--system", str(out)]) == 0
         assert "physically realizable: yes" in capsys.readouterr().out
+
+    def test_singular_measurement_noise(self, tmp_path, capsys):
+        # with D = 0 the filter's measurement-noise intensity V2 = D S_w D^T
+        # is zero: the unit-inflated classical filter and every alg2 rho > 0
+        # are still defined, the rho = 0 filter of alg1 and alg3 is not
+        d = system_to_dict(make_cavity_plant(*SCENARIOS["s1"], 1.0))
+        d["D"] = np.zeros((2, 4)).tolist()
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(d))
+        for alg, code in (("alg1", 2), ("alg2", 0), ("alg3", 2), ("classical", 0)):
+            out = tmp_path / f"{alg}.json"
+            assert main(["design", "--plant", str(path), "--algorithm", alg, "--out", str(out)]) == code, alg
+            err = capsys.readouterr().err
+            if code:
+                assert err == "qobs: DomainError: measurement-noise intensity V2 is not positive definite\n"
+                assert not out.exists()
+        assert json.loads((tmp_path / "alg2.json").read_text())["provenance"]["rho"] > 0.0
+        assert main(["check", "--system", str(tmp_path / "alg2.json")]) == 0
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
