@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FileFormatError, QobsError
+from .errors import DomainError, FileFormatError, QobsError
 from .observers import ClassicalObserver
 from .realizability import min_vacuum_rank, skew_riccati_transform, stilde
 from .sweep import (
@@ -98,8 +98,8 @@ def _sweep_grid(args) -> tuple[float, ...]:
         return default_kn_grid()
     if any(v is None for v in custom):
         raise _UsageError("--kn-min, --kn-max and --kn-points must be given together")
-    if args.kn_points < 2 or args.kn_max <= args.kn_min or args.kn_min < 0:
-        raise _UsageError("need kn-points >= 2 and 0 <= kn-min < kn-max")
+    if args.kn_points < 2 or not 0 <= args.kn_min < args.kn_max < np.inf:
+        raise _UsageError("need kn-points >= 2 and 0 <= kn-min < kn-max < inf")
     if args.kn_min == 0:
         # log spacing needs a positive start; keep the requested zero point
         if args.kn_max <= 1e-3:
@@ -115,18 +115,20 @@ def _sweep_grid(args) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.scenario == "custom":
-        if args.kappa1 is None or args.kappa2 is None:
-            raise _UsageError("--scenario custom requires --kappa1 and --kappa2")
-        kappa1, kappa2 = args.kappa1, args.kappa2
-    else:
-        kappa1, kappa2 = SCENARIOS[args.scenario]
+    kappas = (args.kappa1, args.kappa2)
+    if args.scenario != "custom":
+        if kappas != (None, None):
+            raise _UsageError("--kappa1 and --kappa2 need --scenario custom")
+        kappas = SCENARIOS[args.scenario]
+    elif None in kappas:
+        raise _UsageError("--scenario custom requires --kappa1 and --kappa2")
     algorithms = tuple(a for a in args.algorithms.split(",") if a)
     if not algorithms or not set(algorithms) <= set(ALGORITHMS):
         raise _UsageError(f"--algorithms needs a comma-separated subset of {','.join(ALGORITHMS)}")
-    config = ScenarioConfig(
-        kappa1=kappa1, kappa2=kappa2, kn_grid=_sweep_grid(args), algorithms=algorithms
-    )
+    try:  # a non-finite or negative number on the command line is bad usage
+        config = ScenarioConfig(*kappas, kn_grid=_sweep_grid(args), algorithms=algorithms)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
     rows = run_sweep(config)
     emit_csv(rows, args.out)
     sidecar = {

@@ -11,8 +11,8 @@ physically realizable:
 * :func:`design_algorithm2` searches ``rho`` for the augmented filter that
   performs best against the true plant.
 * :func:`design_algorithm3` (``rho = 0``) re-coordinates the algorithm-1
-  filter so that no ``B_v2`` channels are needed at all, keeping the
-  algorithm-1 observer when the transformation does not exist.
+  filter so that no ``B_v2`` channels are needed at all, and augments that
+  filter as algorithm 1 does only when the transformation does not exist.
 * :func:`design_classical` (``rho = 1``) is the measurement-based baseline:
   heterodyne detection adds one unit of vacuum noise to the output, and the
   filter runs on that record.
@@ -24,7 +24,7 @@ the Lyapunov equation of the estimation-error dynamics.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,24 +118,21 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _kalman_step(plant: QuantumLinearSystem, rho: float):
+def _kalman_step(plant: QuantumLinearSystem, rho: float) -> KalmanDesign:
     """The plant's Kalman filter designed against measurement noise ``V2 + rho^2 I``."""
     S_w = plant.ito.S
     V2 = plant.D @ S_w @ plant.D.T + rho * rho * np.eye(plant.n_y)
-    kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
-    A_hat = plant.A - kd.K @ plant.C
-    return kd, A_hat
+    return solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
 
 
 def _augmented_design(
-    plant: QuantumLinearSystem, rho: float, provenance: Provenance
+    plant: QuantumLinearSystem, kd: KalmanDesign, provenance: Provenance
 ) -> CoherentObserver:
-    """The ``rho`` filter made quantum by minimal vacuum-noise augmentation."""
-    kd, A_hat = _kalman_step(plant, rho)
+    """The filter ``kd`` made quantum by minimal vacuum-noise augmentation."""
     C_hat = np.eye(plant.n_x)
-    aug = augment_noise(A_hat, kd.K, C_hat, plant.theta)
+    aug = augment_noise(kd.A_hat, kd.K, C_hat, plant.theta)
     return CoherentObserver(
-        A_hat=A_hat,
+        A_hat=kd.A_hat,
         B_hat=kd.K,
         C_hat=C_hat,
         B_v1=aug.B_v1,
@@ -147,7 +144,7 @@ def _augmented_design(
 
 def design_algorithm1(plant: QuantumLinearSystem) -> CoherentObserver:
     """Kalman filter made quantum by minimal vacuum-noise augmentation."""
-    return _augmented_design(plant, 0.0, Provenance("alg1"))
+    return _augmented_design(plant, _kalman_step(plant, 0.0), Provenance("alg1"))
 
 
 def default_rho_grid() -> np.ndarray:
@@ -184,7 +181,7 @@ def design_algorithm2(
     def score(rho: float) -> float:
         """Trace of the ``rho`` design, designed on first use."""
         if rho not in scored:
-            obs = _augmented_design(plant, rho, Provenance("alg2", rho=rho))
+            obs = _augmented_design(plant, _kalman_step(plant, rho), Provenance("alg2", rho=rho))
             scored[rho] = (evaluate_performance(plant, obs).trace, obs)
         return scored[rho][0]
 
@@ -228,27 +225,30 @@ def design_algorithm3(
 ) -> tuple[CoherentObserver, str | None]:
     """Transformation-based design with fallback to the augmentation design.
 
-    Attempts the skew Riccati state transformation of the algorithm-1
-    filter; on success the observer needs no ``B_v2`` channels and carries
-    the transformed ``B_v1_tilde`` as its ``B_v1``. On failure the
-    algorithm-1 observer is returned together with the typed reason, which
-    its provenance also records as ``fallback_reason``.
+    Designs the algorithm-1 (``rho = 0``) filter once and attempts its skew
+    Riccati state transformation; on success the observer needs no ``B_v2``
+    channels and carries the transformed ``B_v1_tilde`` as its ``B_v1``. On
+    failure that filter is augmented as in algorithm 1 and returned with the
+    typed reason, which its provenance also records as ``fallback_reason``.
     """
-    obs = design_algorithm1(plant)
+    kd = _kalman_step(plant, 0.0)
+    C_hat = np.eye(plant.n_x)
     try:
-        tf = skew_riccati_transform(obs.A_hat, obs.B_hat, obs.C_hat, plant.theta)
+        tf = skew_riccati_transform(kd.A_hat, kd.K, C_hat, plant.theta)
     except QobsError as exc:
         provenance = Provenance("alg3", transformed=False, fallback_reason=exc.reason_code)
-        return replace(obs, provenance=provenance), exc.reason_code
-    provenance = Provenance("alg3", transformed=True)
-    no_v2 = np.zeros((plant.n_x, 0))
-    return replace(obs, B_v1=tf.B_v1_tilde, B_v2=no_v2, provenance=provenance, transform=tf), None
+        return _augmented_design(plant, kd, provenance), exc.reason_code
+    obs = CoherentObserver(
+        A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=tf.B_v1_tilde, B_v2=np.zeros((plant.n_x, 0)),
+        provenance=Provenance("alg3", transformed=True), design=kd, transform=tf,
+    )
+    return obs, None
 
 
 def design_classical(plant: QuantumLinearSystem) -> ClassicalObserver:
     """Kalman filter on the heterodyne record ``dy + dw_H``, whose vacuum ``w_H`` makes ``rho = 1``."""
-    kd, A_hat = _kalman_step(plant, 1.0)
-    return ClassicalObserver(K=kd.K, A_hat=A_hat, design=kd)
+    kd = _kalman_step(plant, 1.0)
+    return ClassicalObserver(K=kd.K, A_hat=kd.A_hat, design=kd)
 
 
 def error_system(

@@ -45,15 +45,16 @@ def _axis_tolerance(eigvals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KalmanDesign:
-    """Steady-state Kalman filter data: covariance, gain, and Riccati residual.
+    """Steady-state Kalman filter data: covariance, gain, filter matrix, and Riccati residual.
 
     ``Q`` is the symmetric PSD stabilizing Riccati solution, ``K`` the filter
-    gain, and ``residual_norm`` the Frobenius norm of the Riccati residual at
-    the returned ``Q``.
+    gain, ``A_hat = A - K C`` the Hurwitz filter matrix, and ``residual_norm``
+    the Frobenius norm of the Riccati residual at the returned ``Q``.
     """
 
     Q: np.ndarray
     K: np.ndarray
+    A_hat: np.ndarray
     residual_norm: float
 
 
@@ -117,7 +118,8 @@ def solve_care(
     Solves ``Abar Q + Q Abar^T - Q C^T V2^-1 C Q + V1 - V12 V2^-1 V12^T = 0``
     with ``Abar = A - V12 V2^-1 C`` through :func:`riccati_solution` (with
     ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
-    ``K = (Q C^T + V12) V2^-1``. The construction guarantees ``A - K C`` is
+    ``K = (Q C^T + V12) V2^-1`` and the filter matrix ``A_hat = A - K C``,
+    the one place that matrix is formed; the construction guarantees it is
     Hurwitz whenever it succeeds. Raises :class:`DomainError` when the
     measurement-noise intensity ``V2`` is not positive definite.
     """
@@ -134,13 +136,14 @@ def solve_care(
         raise NoStabilizingSolution(f"{type(exc).__name__}: {exc}") from exc
     Q = (Q + Q.T) / 2.0
     K = (Q @ C.T + V12) @ V2_inv
-    poles = np.linalg.eigvals(A - K @ C)
+    A_hat = A - K @ C
+    poles = np.linalg.eigvals(A_hat)
     if np.max(poles.real) >= 0.0:
         raise NoStabilizingSolution(
             f"filter pole with real part {np.max(poles.real):.3e} is not stable"
         )
     res = float(np.linalg.norm(riccati_residual(*coefficients, Q)))
-    return KalmanDesign(Q=Q, K=K, residual_norm=res)
+    return KalmanDesign(Q=Q, K=K, A_hat=A_hat, residual_norm=res)
 
 
 def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -74,13 +74,15 @@ class ScenarioConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
 
     def __post_init__(self) -> None:
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
-            raise DomainError("mirror couplings must be positive")
+        if not (0 < self.kappa1 < np.inf and 0 < self.kappa2 < np.inf):
+            raise DomainError(
+                f"mirror couplings must be positive and finite, got {self.kappa1}, {self.kappa2}"
+            )
         grid = tuple(float(k) for k in self.kn_grid)
         if not grid:
             raise DomainError("kn_grid must be non-empty")
-        if any(k < 0 for k in grid):
-            raise DomainError("kn_grid values must be non-negative")
+        if not all(0 <= k < np.inf for k in grid):
+            raise DomainError("kn_grid values must be non-negative and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("kn_grid must be sorted ascending without duplicates")
         object.__setattr__(self, "kn_grid", grid)
@@ -91,16 +93,11 @@ class ScenarioConfig:
         object.__setattr__(self, "algorithms", algs)
 
 
-def scenario_config(name: str, kn_grid: Sequence[float] | None = None) -> ScenarioConfig:
-    """Config for one of the named scenarios ``s1``/``s2``/``s3``, every designer included."""
+def scenario_config(name: str) -> ScenarioConfig:
+    """Config for a named scenario ``s1``/``s2``/``s3``: default grid, every designer."""
     if name not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
-    kappa1, kappa2 = SCENARIOS[name]
-    return ScenarioConfig(
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kn_grid=tuple(kn_grid) if kn_grid is not None else default_kn_grid(),
-    )
+    return ScenarioConfig(*SCENARIOS[name], kn_grid=default_kn_grid())
 
 
 @dataclass

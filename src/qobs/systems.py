@@ -102,8 +102,8 @@ class NoiseChannel:
     k_n: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k_n < 0:
-            raise DomainError(f"thermal occupation must be non-negative, got {self.k_n}")
+        if not 0 <= self.k_n < np.inf:
+            raise DomainError(f"thermal occupation must be non-negative and finite, got {self.k_n}")
         if self.kind is NoiseKind.VACUUM and self.k_n != 0.0:
             raise DomainError("a vacuum channel has k_n = 0")
         if self.kind is NoiseKind.THERMAL and self.k_n == 0.0:
@@ -271,6 +271,8 @@ class QuantumLinearSystem:
                 f"need {n_w // 2} channels for {n_w} input columns, got {len(self.channels)}"
             )
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            if not np.all(np.isfinite(M)):
+                raise DomainError(f"{name} has non-finite entries")
             object.__setattr__(self, name, _frozen_array(M))
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -368,10 +370,8 @@ def make_cavity_plant(kappa1: float, kappa2: float, k_n: float) -> QuantumLinear
     ``dx = -(kappa1+kappa2)/2 x dt - sqrt(kappa1) dw1 - sqrt(kappa2) dw2``,
     ``dy = sqrt(kappa1) x dt + dw1``, with ``dw2`` thermal of occupation ``k_n``.
     """
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise DomainError(f"mirror couplings must be positive, got {kappa1}, {kappa2}")
-    if k_n < 0:
-        raise DomainError(f"thermal occupation must be non-negative, got {k_n}")
+    if not (0 < kappa1 < np.inf and 0 < kappa2 < np.inf):
+        raise DomainError(f"mirror couplings must be positive and finite, got {kappa1}, {kappa2}")
     I2 = np.eye(2)
     A = -0.5 * (kappa1 + kappa2) * I2
     B = np.hstack([-np.sqrt(kappa1) * I2, -np.sqrt(kappa2) * I2])
@@ -393,13 +393,10 @@ def _channel_from_dict(d: dict, index: int) -> NoiseChannel:
     if kind == "thermal":
         if "k_n" not in d:
             raise FileFormatError(f"channels[{index}]: thermal channel needs 'k_n'")
-        try:  # a DomainError (negative k_n) is a ValueError too
-            channel = NoiseChannel.thermal(d["k_n"])
+        try:  # a DomainError (negative or non-finite k_n) is a ValueError too
+            return NoiseChannel.thermal(d["k_n"])
         except (TypeError, ValueError) as exc:
             raise FileFormatError(f"channels[{index}]: k_n = {d['k_n']!r}: {exc}") from None
-        if not np.isfinite(channel.k_n):
-            raise FileFormatError(f"channels[{index}]: non-finite k_n")
-        return channel
     raise FileFormatError(f"channels[{index}]: unknown kind {kind!r}")
 
 
@@ -434,8 +431,6 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
             raise FileFormatError(f"key {key!r}: not a numeric matrix ({exc})") from None
         if matrices[key].ndim != 2:
             raise FileFormatError(f"key {key!r}: expected a nested (2-d) array")
-        if not np.all(np.isfinite(matrices[key])):
-            raise FileFormatError(f"key {key!r}: non-finite entries")
     channels = tuple(
         _channel_from_dict(c, i) for i, c in enumerate(d["channels"])
     )

@@ -50,6 +50,39 @@ def care_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def augment_calls(monkeypatch):
+    """The argument tuples of every ``augment_noise`` call the designers make."""
+    calls = []
+    augment_noise = qobs.observers.augment_noise
+
+    def counting_augment_noise(*args):
+        calls.append(args)
+        return augment_noise(*args)
+
+    monkeypatch.setattr(qobs.observers, "augment_noise", counting_augment_noise)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_kalman_design_holds_the_filter_matrix(rho):
+    # solve_care forms A - K C once; the augmented observer holds that array
+    plant = make_cavity_plant(*co.S2, 69.0)
+    kd = qobs.observers._kalman_step(plant, rho)
+    assert kd.A_hat.tobytes() == (plant.A - kd.K @ plant.C).tobytes()
+    provenance = qobs.observers.Provenance("alg2", rho=rho)
+    assert qobs.observers._augmented_design(plant, kd, provenance).A_hat is kd.A_hat
+
+
+@pytest.mark.parametrize("kn", [69.0, 70.0])  # alg3 transformed / fallback
+def test_every_observer_holds_its_filter_matrix(kn):
+    plant = make_cavity_plant(*co.S2, kn)
+    observers = [design_algorithm1(plant), design_algorithm2(plant)[0]]
+    for obs in observers + [design_algorithm3(plant)[0], design_classical(plant)]:
+        assert obs.A_hat is obs.design.A_hat
+        assert obs.A_hat.tobytes() == (plant.A - obs.design.K @ plant.C).tobytes()
+
+
 class TestAlgorithm1:
     def test_scenario1_vacuum_limit(self):
         obs = design_algorithm1(make_cavity_plant(0.1, 0.1, 0.0))
@@ -194,6 +227,12 @@ class TestAlgorithm3:
         design_algorithm3(make_cavity_plant(*co.S2, kn))
         assert len(care_calls) == 1
 
+    @pytest.mark.parametrize("kn, augmentations", [(69.0, 0), (70.0, 1)])  # transformed / fallback
+    def test_augments_only_when_the_transform_fails(self, augment_calls, kn, augmentations):
+        _, reason = design_algorithm3(make_cavity_plant(*co.S2, kn))
+        assert (reason is None) == (augmentations == 0)
+        assert len(augment_calls) == augmentations
+
     def test_transformed_noise_gain_is_derived(self):
         obs, _ = design_algorithm3(make_cavity_plant(*co.S2, 69.0))
         assert np.array_equal(obs.B_v1, obs.transform.B_v1_tilde)
@@ -242,7 +281,7 @@ class TestClassical:
         kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
         K = design_classical(plant).K
         assert np.array_equal(K, kd.K)
-        assert np.array_equal(K, qobs.observers._kalman_step(plant, 1.0)[0].K)
+        assert np.array_equal(K, qobs.observers._kalman_step(plant, 1.0).K)
 
     def test_vacuum_limit_gain_and_metric(self):
         plant = make_cavity_plant(0.1, 0.1, 0.0)

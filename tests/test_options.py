@@ -15,7 +15,6 @@ OPTIONS = {
     "design_algorithm2(rho_candidates)",
     "integrate_covariance(step)",
     "realize_from_hamiltonian(channels)",
-    "scenario_config(kn_grid)",
     "ScenarioConfig.algorithms",
 }
 

@@ -36,8 +36,9 @@ CSV_HEADER = (
 class TestScenarioConfig:
     def test_presets(self):
         assert SCENARIOS == {"s1": (0.1, 0.1), "s2": (0.5, 0.01), "s3": (0.8, 0.01)}
-        cfg = scenario_config("s2", kn_grid=[1.0])
+        cfg = scenario_config("s2")
         assert (cfg.kappa1, cfg.kappa2) == (0.5, 0.01)
+        assert cfg.kn_grid == default_kn_grid()
 
     def test_default_grid_spans_and_brackets_transitions(self):
         grid = default_kn_grid()
@@ -54,6 +55,16 @@ class TestScenarioConfig:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(DomainError):
             ScenarioConfig(kappa1=0.1, kappa2=0.1, kn_grid=(0.0,), algorithms=("alg9",))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, value):
+        with pytest.raises(DomainError, match="positive and finite"):
+            ScenarioConfig(kappa1=value, kappa2=0.1, kn_grid=(1.0,))
+
+    @pytest.mark.parametrize("grid", [(float("nan"),), (1.0, float("inf"))])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(DomainError, match="non-negative and finite"):
+            run_sweep(ScenarioConfig(0.1, 0.1, grid))
 
 
 class TestRunSweep:
@@ -330,7 +341,10 @@ class TestCli:
     @pytest.mark.parametrize("command", ["check", "design"])
     @pytest.mark.parametrize(
         "entry, message",
-        [(("A", 0, 0), "key 'A': non-finite entries"), (("channels", 1, "k_n"), "channels[1]: non-finite k_n")],
+        [
+            (("A", 0, 0), "A has non-finite entries"),
+            (("channels", 1, "k_n"), "channels[1]: k_n = nan: thermal occupation must be non-negative"),
+        ],
     )
     def test_non_finite_entry_exits_three(self, command, entry, message, plant_file, tmp_path, capsys):
         d = json.loads(plant_file.read_text())
@@ -390,6 +404,24 @@ class TestCli:
         rc = main(["sweep", "--scenario", "s1", "--algorithms", "", "--out", str(out)])
         assert rc == 1
         assert "--algorithms" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--kn-min nan --kn-max 10 --kn-points 3", "0 <= kn-min < kn-max < inf"),
+            ("--kn-min 1 --kn-max inf --kn-points 3", "0 <= kn-min < kn-max < inf"),
+            ("--scenario custom --kappa1 nan --kappa2 0.1", "positive and finite, got nan"),
+            ("--scenario custom --kappa1 inf --kappa2 0.1", "positive and finite, got inf"),
+            ("--scenario custom --kappa1 -1 --kappa2 0.1", "positive and finite, got -1.0"),
+            ("--kappa1 0.3", "--kappa1 and --kappa2 need --scenario custom"),
+            ("--scenario s2 --kappa2 0.3", "--kappa1 and --kappa2 need --scenario custom"),
+        ],
+    )
+    def test_sweep_bad_numbers_are_usage_errors(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", *flags.split(), "--algorithms", "alg1", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_zero_start_below_log_grid_is_a_usage_error(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from qobs import (
     HamiltonianCoupling,
     NoiseChannel,
     NoiseKind,
+    QuantumLinearSystem,
     canonical_theta,
     commutation_residual,
     gamma_matrix,
@@ -24,6 +25,7 @@ from qobs import (
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+NON_FINITE = [float("nan"), float("inf")]
 
 
 class TestCanonicalTheta:
@@ -108,6 +110,11 @@ class TestNoiseChannel:
     def test_negative_occupation_rejected(self):
         with pytest.raises(DomainError):
             NoiseChannel.thermal(-0.1)
+
+    @pytest.mark.parametrize("k_n", NON_FINITE)
+    def test_non_finite_occupation_rejected(self, k_n):
+        with pytest.raises(DomainError, match="non-negative and finite"):
+            NoiseChannel.thermal(k_n)
 
 
 class TestPermutationMatrix:
@@ -196,6 +203,21 @@ class TestRealizeFromHamiltonian:
         with pytest.raises(DomainError):
             HamiltonianCoupling(R=np.array([[0.0, 1.0], [0.0, 0.0]]), Lambda=np.zeros((1, 2)), n_y=2)
 
+    def test_non_finite_r_refused(self):
+        R = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        hc = HamiltonianCoupling(R=R, Lambda=np.array([[1.0, 1j]]), n_y=2)
+        with pytest.raises(DomainError, match="A has non-finite entries"):
+            realize_from_hamiltonian(hc)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_system_refuses_non_finite_entries(name, value):
+    matrices = {"A": -np.eye(2), "B": -np.eye(2), "C": np.eye(2), "D": np.eye(2)}
+    matrices[name][0, 1] = value
+    with pytest.raises(DomainError, match=f"{name} has non-finite entries"):
+        QuantumLinearSystem(**matrices, channels=(NoiseChannel.vacuum(),))
+
 
 class TestCommutationResidual:
     def test_cavity_plant_is_zero(self):
@@ -241,6 +263,16 @@ class TestMakeCavityPlant:
     def test_rejects_nonpositive_couplings(self, bad):
         with pytest.raises(DomainError):
             make_cavity_plant(bad[0], bad[1], 0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite_couplings(self, value):
+        with pytest.raises(DomainError, match="mirror couplings must be positive and finite"):
+            make_cavity_plant(value, 0.1, 1.0)
+
+    @pytest.mark.parametrize("k_n", NON_FINITE)
+    def test_rejects_non_finite_occupation(self, k_n):
+        with pytest.raises(DomainError, match="thermal occupation must be non-negative and finite"):
+            make_cavity_plant(0.1, 0.1, k_n)
 
 
 class TestSystemSerialization:
