@@ -14,7 +14,6 @@ from .errors import (
     FileFormatError,
     ImaginaryAxisEigenvalue,
     NoStabilizingSolution,
-    NonRealBv2,
     NonRealResult,
     NonRealT,
     NotHurwitz,
@@ -72,11 +71,11 @@ from .systems import (
     QuantumLinearSystem,
     canonical_theta,
     commutation_residual,
-    gamma_matrix,
+    field_gain,
     ito_structure,
     load_system,
     make_cavity_plant,
-    permutation_matrix,
+    quadrature_readout,
     realize_from_hamiltonian,
     save_system,
     system_from_dict,
@@ -88,12 +87,12 @@ __all__ = [
     # errors
     "QobsError", "DomainError", "FileFormatError", "NonRealResult",
     "NoStabilizingSolution", "NotHurwitz", "ImaginaryAxisEigenvalue",
-    "WrongSplitCount", "SingularX1", "SingularX", "NonRealT", "NonRealBv2",
+    "WrongSplitCount", "SingularX1", "SingularX", "NonRealT",
     "SingularResolvent",
     # systems
     "NoiseKind", "NoiseChannel", "ItoStructure", "QuantumLinearSystem",
     "HamiltonianCoupling", "canonical_theta", "ito_structure",
-    "permutation_matrix", "gamma_matrix", "realize_from_hamiltonian",
+    "quadrature_readout", "field_gain", "realize_from_hamiltonian",
     "commutation_residual", "make_cavity_plant", "system_from_dict",
     "system_to_dict", "load_system", "save_system",
     # solvers

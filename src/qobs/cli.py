@@ -202,7 +202,7 @@ def _cmd_check(args) -> int:
     sys_ = load_system(args.system)
     res_norm = float(np.linalg.norm(sys_.residual()))
     S_t = stilde(sys_.A, sys_.B, sys_.C, sys_.theta)
-    n_v2 = min_vacuum_rank(S_t)
+    n_v2 = min_vacuum_rank(sys_.A, sys_.B, sys_.C, sys_.theta)
     print(f"commutation residual norm: {res_norm:.6e}")
     print("commutation defect matrix:")
     print(np.array2string(S_t, precision=6, suppress_small=True))

@@ -56,9 +56,5 @@ class NonRealT(QobsError):
     """The state transformation could not be completed as a real matrix."""
 
 
-class NonRealBv2(QobsError):
-    """The extra vacuum-noise gain came out with too large an imaginary part."""
-
-
 class SingularResolvent(QobsError):
     """A frequency sample coincides with a pole of one of the systems."""

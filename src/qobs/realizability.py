@@ -12,6 +12,8 @@ repair mechanisms are provided:
   which the filter is realizable with no ``B_v2`` channels at all; the
   transformation exists exactly when a skew-symmetric Riccati equation admits
   a suitable nonsingular solution.
+
+Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field_gain`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonRealBv2, NonRealResult, NonRealT, SingularResolvent, SingularX
+from .errors import NonRealResult, NonRealT, SingularResolvent, SingularX
 from .solvers import riccati_residual, riccati_solution
 from .systems import (
     CHECK_RTOL,
@@ -29,7 +31,8 @@ from .systems import (
     PIVOT_RTOL,
     RANK_RTOL,
     canonical_theta,
-    coupling_gain,
+    field_gain,
+    quadrature_readout,
     real_part_checked,
 )
 
@@ -66,26 +69,33 @@ def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarra
     return riccati_residual(*_skew_coefficients(A_hat, B_hat, C_hat), np.asarray(X, dtype=float))
 
 
-def _defect_spectrum(S_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive part of the spectrum of the Hermitian ``i S_tilde / 4``.
+def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The filter's defect ``S_tilde`` and the positive part of the spectrum of ``i S_tilde / 4``.
 
-    Returns the eigenvalues above ``RANK_RTOL`` times the largest, sorted
-    descending, and their eigenvectors as columns. A real skew ``S_tilde`` has
-    eigenvalues in ``+/-`` pairs, so twice their count is its numerical rank.
+    Keeps the eigenvalues above ``RANK_RTOL`` times the scale of the terms
+    ``S_tilde / 4`` is formed from, ``(||theta B theta_y B^T theta||_2 +
+    2 ||A_hat||_2 + ||C^T theta_eta C||_2) / 4``, so a round-off defect has
+    rank 0; sorted descending, with their eigenvectors as columns. A real
+    skew ``S_tilde`` has eigenvalues in ``+/-`` pairs, so twice their count
+    is its numerical rank.
     """
-    eigvals, eigvecs = np.linalg.eigh(0.25j * np.asarray(S_tilde, dtype=float))
-    keep = eigvals > RANK_RTOL * np.max(eigvals, initial=0.0)
-    return eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
+    F, B, M, H = _skew_coefficients(A_hat, B_hat, C_hat)
+    theta = np.asarray(theta, dtype=float)
+    S_t = riccati_residual(F, B, M, H, theta)
+    norms = np.linalg.norm(np.stack([theta @ B @ M @ B.T @ theta, F, H]), 2, axis=(1, 2))
+    eigvals, eigvecs = np.linalg.eigh(0.25j * S_t)
+    keep = eigvals > RANK_RTOL * (norms[0] + 2.0 * norms[1] + norms[2]) / 4.0
+    return S_t, eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
 
 
-def min_vacuum_rank(S_tilde: np.ndarray) -> int:
-    """Numerical rank of the commutation defect; the minimal ``n_v2``.
+def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> int:
+    """Numerical rank of the filter's commutation defect; the minimal ``n_v2``.
 
     Always even: twice the count of positive eigenvalues of ``i S_tilde / 4``
-    above ``RANK_RTOL`` times the largest, the count :func:`augment_noise`
-    builds ``B_v2`` from.
+    above ``RANK_RTOL`` times the scale of its terms, the count
+    :func:`augment_noise` builds ``B_v2`` from.
     """
-    return 2 * _defect_spectrum(S_tilde)[0].size
+    return 2 * _defect_spectrum(A_hat, B_hat, C_hat, theta)[1].size
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
@@ -105,8 +115,8 @@ def _fix_column_phases(V: np.ndarray) -> np.ndarray:
 class AugmentResult:
     """Extra vacuum gains restoring commutation preservation.
 
-    ``B_v1`` feeds back the output field (``theta C_hat^T diag(J)``); ``B_v2``
-    couples ``n_v2`` further vacuum quadratures, one per column.
+    ``B_v1`` feeds back the output field (``field_gain(theta, C_hat)``);
+    ``B_v2`` couples ``n_v2`` further vacuum quadratures, one per column.
     """
 
     S_tilde: np.ndarray
@@ -125,29 +135,21 @@ def augment_noise(
 
     Factorizes the positive part of the Hermitian matrix ``i/4`` times the
     commutation defect: its unitary diagonalization (eigenvalues sorted
-    descending, eigenvector phases pinned for reproducibility) gives a factor
-    ``W``, from which :func:`coupling_gain` assembles the extra gain as it
-    does an input gain in the forward oscillator construction. ``B_v2`` is
-    unique only up to a symplectic-orthogonal right factor; its invariants
-    ``B_v2 B_v2^T`` and ``B_v2 diag(J) B_v2^T`` are what the construction
-    guarantees.
+    descending, eigenvector phases pinned for reproducibility) gives the
+    coupling matrix ``W`` of the extra fields; ``B_v2`` is the field gain of
+    ``quadrature_readout(W)``, as the plant's ``B`` is of its coupling, and
+    ``B_v1`` that of ``C_hat``. ``B_v2`` is unique only up to a
+    symplectic-orthogonal right factor; its invariants ``B_v2 B_v2^T`` and
+    ``B_v2 diag(J) B_v2^T`` are what the construction guarantees.
     """
     theta = np.asarray(theta, dtype=float)
-    C_hat = np.asarray(C_hat, dtype=float)
-    n_x = theta.shape[0]
-    S_t = stilde(A_hat, B_hat, C_hat, theta)
-    eigvals, eigvecs = _defect_spectrum(S_t)
-    B_v1 = theta @ C_hat.T @ canonical_theta(C_hat.shape[0] / 2)
-
+    S_t, eigvals, eigvecs = _defect_spectrum(A_hat, B_hat, C_hat, theta)
     if eigvals.size == 0:
-        B_v2 = np.zeros((n_x, 0))
+        B_v2 = np.zeros((theta.shape[0], 0))
     else:
         W = np.sqrt(2.0 * eigvals)[:, None] * _fix_column_phases(eigvecs).conj().T
-        try:
-            B_v2 = coupling_gain(theta, W)
-        except NonRealResult as exc:
-            raise NonRealBv2(str(exc)) from exc
-    return AugmentResult(S_tilde=S_t, B_v1=B_v1, B_v2=B_v2)
+        B_v2 = field_gain(theta, quadrature_readout(W))
+    return AugmentResult(S_tilde=S_t, B_v1=field_gain(theta, np.asarray(C_hat, dtype=float)), B_v2=B_v2)
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def skew_riccati_transform(
     C_tilde = C_hat @ T_inv
     return TransformResult(
         X=X, T=T, A_tilde=T @ A_hat @ T_inv, B_tilde=T @ B_hat, C_tilde=C_tilde,
-        B_v1_tilde=theta @ C_tilde.T @ canonical_theta(C_hat.shape[0] / 2),
+        B_v1_tilde=field_gain(theta, C_tilde),
     )
 
 

@@ -4,9 +4,9 @@ A system ``dx = A x dt + B dw``, ``dy = C x dt + D dw`` acts on a stacked
 quadrature vector ordered ``(q1, p1, q2, p2, ...)``. The canonical
 commutation matrix is block diagonal in ``J = [[0, 1], [-1, 0]]`` and every
 two columns of ``B`` belong to one bosonic input channel, either vacuum or
-thermal with occupation ``k_n``. The module also provides the forward
-construction that maps a quadratic Hamiltonian matrix and a linear coupling
-matrix to a physically realizable ``(A, B, C, D)``.
+thermal with occupation ``k_n``. Every input gain is the :func:`field_gain`
+of its field's quadrature read-out, as in the forward construction of a
+realizable ``(A, B, C, D)`` from a Hamiltonian and a coupling matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
     "HamiltonianCoupling",
     "canonical_theta",
     "ito_structure",
-    "permutation_matrix",
-    "gamma_matrix",
+    "quadrature_readout",
+    "field_gain",
     "realize_from_hamiltonian",
     "commutation_residual",
     "make_cavity_plant",
@@ -47,7 +47,7 @@ __all__ = [
 IMAG_RESIDUE_RTOL = 1e-9
 #: zero in a spectral split: imaginary-axis eigenvalue, zero eigenvalue of X, sample on a pole
 EIG_SPLIT_RTOL = 1e-8
-#: numerical rank, relative to the largest eigenvalue of ``i S_tilde / 4``
+#: numerical rank of ``i S_tilde / 4``, relative to the scale of the terms it is formed from
 RANK_RTOL = 1e-9
 #: a defect that must vanish: the skew part of X, T^T theta T - X, the `qobs check` residual
 CHECK_RTOL = 1e-8
@@ -170,29 +170,18 @@ def ito_structure(channels: Sequence[NoiseChannel]) -> ItoStructure:
     return ItoStructure(F=F, S=F.real, T=F.imag)
 
 
-def permutation_matrix(n: int) -> np.ndarray:
-    """Permutation sending ``(a1, a2, ..., a2m)`` to ``(a1, a3, ..., a2, a4, ...)``.
+def quadrature_readout(Lam: np.ndarray) -> np.ndarray:
+    """Real read-out of a coupling matrix: rows ``2k, 2k+1`` are ``2 Re Lambda[k], 2 Im Lambda[k]``."""
+    return 2.0 * np.stack([Lam.real, Lam.imag], axis=1).reshape(-1, Lam.shape[1])
 
-    Acts on column vectors: odd-indexed components first, then even-indexed.
+
+def field_gain(theta: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Input gain ``theta L^T diag(J)`` of the field whose quadratures ``L`` reads out.
+
+    This pairing of each input with the output it feeds makes a linear quantum
+    system physically realizable (James, Nurdin & Petersen, IEEE TAC 2008).
     """
-    _require_even(n, "permutation size")
-    m = n // 2
-    P = np.zeros((n, n))
-    for i in range(m):
-        P[i, 2 * i] = 1.0
-        P[m + i, 2 * i + 1] = 1.0
-    return P
-
-
-def gamma_matrix(n_w: int) -> np.ndarray:
-    """The matrix ``P diag(M, ..., M)`` with ``M = [[1, i], [1, -i]] / 2``.
-
-    Converts stacked annihilation/creation pairs to quadrature pairs; satisfies
-    ``Gamma Gamma^dag = I/2``.
-    """
-    _require_even(n_w, "input dimension")
-    M = 0.5 * np.array([[1.0, 1j], [1.0, -1j]])
-    return permutation_matrix(n_w) @ np.kron(np.eye(n_w // 2), M)
+    return theta @ L.T @ canonical_theta(L.shape[0] / 2)
 
 
 @dataclass(frozen=True)
@@ -325,43 +314,27 @@ def commutation_residual(
     return res
 
 
-def coupling_gain(theta: np.ndarray, Lam: np.ndarray) -> np.ndarray:
-    """Input gain ``2i theta [-Lambda^H, Lambda^T] Gamma`` of a coupling matrix.
-
-    Raises :class:`NonRealResult` if the gain is not real.
-    """
-    return real_part_checked(
-        2j * theta @ np.hstack([-Lam.conj().T, Lam.T]) @ gamma_matrix(2 * Lam.shape[0])
-    )
-
-
 def realize_from_hamiltonian(
     hc: HamiltonianCoupling,
     channels: Sequence[NoiseChannel] | None = None,
 ) -> QuantumLinearSystem:
     """Forward construction of ``(A, B, C, D)`` from ``(R, Lambda)``.
 
-    The resulting system is an open quantum harmonic oscillator by
-    construction, hence physically realizable. ``channels`` defaults to vacuum for
-    every input; the choice does not affect the matrices.
+    An open quantum harmonic oscillator, hence physically realizable: ``B``
+    is the field gain of ``L = quadrature_readout(Lambda)`` and ``C`` its
+    first ``n_y`` rows. ``channels`` defaults to vacuum for every input; the
+    choice does not affect the matrices.
     """
     n_x, n_w, n_y = hc.n_x, hc.n_w, hc.n_y
     theta = canonical_theta(n_x // 2)
     Lam = hc.Lambda
     gram = Lam.conj().T @ Lam
     A = 2.0 * theta @ (hc.R + gram.imag)
-    B = coupling_gain(theta, Lam)
-    Sigma = np.hstack([np.eye(n_y // 2), np.zeros((n_y // 2, (n_w - n_y) // 2))])
-    stack = np.vstack([Lam + Lam.conj(), -1j * Lam + 1j * Lam.conj()])
-    C = real_part_checked(
-        permutation_matrix(n_y).T
-        @ np.block([[Sigma, np.zeros_like(Sigma)], [np.zeros_like(Sigma), Sigma]])
-        @ stack
-    )
+    L = quadrature_readout(Lam)
     D = np.hstack([np.eye(n_y), np.zeros((n_y, n_w - n_y))])
     if channels is None:
         channels = tuple(NoiseChannel.vacuum() for _ in range(n_w // 2))
-    return QuantumLinearSystem(A=A, B=B, C=C, D=D, channels=channels)
+    return QuantumLinearSystem(A=A, B=field_gain(theta, L), C=L[:n_y], D=D, channels=channels)
 
 
 def make_cavity_plant(kappa1: float, kappa2: float, k_n: float) -> QuantumLinearSystem:

@@ -156,7 +156,7 @@ def test_criterion_5_realizability_property_suite():
         ]
         res = commutation_residual(A_hat, [B_hat, aug.B_v1, aug.B_v2], theta, blocks)
         worst_aug = max(worst_aug, float(np.max(np.abs(res))))
-        assert aug.n_v2 == min_vacuum_rank(aug.S_tilde) == aug.B_v2.shape[1]
+        assert aug.n_v2 == min_vacuum_rank(A_hat, B_hat, C_hat, theta) == aug.B_v2.shape[1]
         assert aug.n_v2 % 2 == 0
         checked += 1
         try:

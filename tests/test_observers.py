@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import cavity_oracle as co
 import qobs.observers
 from qobs import (
+    DomainError,
     HamiltonianCoupling,
     NoiseChannel,
     canonical_theta,
@@ -28,7 +29,6 @@ from qobs import (
     min_vacuum_rank,
     realize_from_hamiltonian,
     solve_care,
-    stilde,
     transfer_function_gap,
 )
 
@@ -148,6 +148,18 @@ class TestAlgorithm2:
         with pytest.raises(Exception, match="include 0"):
             design_algorithm2(plant, rho_candidates=[0.5])
 
+    def test_empty_candidate_list_is_refused(self):
+        with pytest.raises(DomainError, match="must be non-empty"):
+            design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[])
+
+    def test_every_candidate_failing_is_refused_with_reasons(self):
+        # with D = 0 the measurement-noise intensity of the rho = 0 filter is zero
+        plant = make_cavity_plant(0.1, 0.1, 1.0)
+        plant = dataclasses.replace(plant, D=np.zeros((2, 4)))
+        with pytest.raises(DomainError, match="every rho candidate failed") as exc:
+            design_algorithm2(plant, rho_candidates=[0.0])
+        assert "rho=0.0: DomainError: measurement-noise intensity V2 is not positive definite" in str(exc.value)
+
     def test_rank_mismatch_plant(self):
         # a random plant on which augment_noise used to count the vacuum rank
         # twice, at two thresholds, and fail with an untyped numpy ValueError
@@ -161,7 +173,7 @@ class TestAlgorithm2:
             HamiltonianCoupling(np.array(entry["R"]), lam, entry["n_y"]), channels
         )
         obs, _, _ = design_algorithm2(plant)
-        assert obs.n_v2 == min_vacuum_rank(stilde(obs.A_hat, obs.B_hat, obs.C_hat, plant.theta))
+        assert obs.n_v2 == min_vacuum_rank(obs.A_hat, obs.B_hat, obs.C_hat, plant.theta)
         gains = [obs.B_hat, obs.B_v1, obs.B_v2]
         blocks = [np.kron(np.eye(G.shape[1] // 2), J) for G in gains]
         res = commutation_residual(obs.A_hat, gains, plant.theta, blocks)

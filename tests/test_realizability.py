@@ -65,17 +65,17 @@ class TestStilde:
 
 class TestMinVacuumRank:
     def test_rank_of_nonzero_defect(self):
-        assert min_vacuum_rank(-0.8 * J) == 2
+        # the defect -0.8 J of TestStilde
+        assert min_vacuum_rank(-0.1 * np.eye(2), np.zeros((2, 2)), np.eye(2), J) == 2
 
-    def test_zero_matrix(self):
-        assert min_vacuum_rank(np.zeros((4, 4))) == 0
+    def test_zero_defect(self):
+        # S_tilde = theta^3 + 2 theta - theta = 0 exactly, as theta^2 = -I
+        theta = canonical_theta(2)
+        assert min_vacuum_rank(-np.eye(4), np.eye(4), np.eye(4), theta) == 0
 
     def test_always_even(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n = int(rng.choice([2, 4, 6]))
-            G = rng.normal(size=(n, n))
-            assert min_vacuum_rank(G - G.T) % 2 == 0
+        for A_hat, B_hat, C_hat, theta in random_filter_triples(50, seed=8):
+            assert min_vacuum_rank(A_hat, B_hat, C_hat, theta) % 2 == 0
 
 
 class TestAugmentNoise:
@@ -102,7 +102,7 @@ class TestAugmentNoise:
             aug = augment_noise(A_hat, B_hat, C_hat, theta)
             res = observer_residual(A_hat, B_hat, theta, aug.B_v1, aug.B_v2)
             assert np.max(np.abs(res)) < 1e-8
-            assert aug.n_v2 == min_vacuum_rank(aug.S_tilde)
+            assert aug.n_v2 == min_vacuum_rank(A_hat, B_hat, C_hat, theta)
             assert aug.n_v2 == aug.B_v2.shape[1]
             assert aug.n_v2 % 2 == 0
 
@@ -158,6 +158,12 @@ class TestSkewRiccatiTransform:
             scale = CHECK_RTOL * (1.0 + np.max(np.abs(tf.X)))
             assert np.max(np.abs(tf.T.T @ theta @ tf.T - tf.X)) <= scale
             assert np.max(np.abs(stilde(A_hat, B_hat, C_hat, tf.X))) <= scale
+            # the transformed filter's defect is round-off: no extra channel,
+            # and its output gain is the transform's
+            assert min_vacuum_rank(tf.A_tilde, tf.B_tilde, tf.C_tilde, theta) == 0
+            aug = augment_noise(tf.A_tilde, tf.B_tilde, tf.C_tilde, theta)
+            assert aug.B_v2.shape == (theta.shape[0], 0)
+            assert np.array_equal(aug.B_v1, tf.B_v1_tilde)
         assert successes > 20  # the check must not be vacuous
 
     def test_transform_preserves_transfer_function(self):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import qobs
+import qobs.sweep
 from qobs import (
     DomainError,
+    NotHurwitz,
     ScenarioConfig,
     emit_csv,
     emit_plot_data,
@@ -97,6 +99,31 @@ class TestRunSweep:
         (row,) = run_sweep(cfg)
         assert row.classical_trace is not None
         assert row.alg1_trace is None and row.alg2_trace is None and row.alg3_trace is None
+
+
+def test_designer_failure_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path, capsys):
+    design_algorithm3 = qobs.sweep.design_algorithm3
+
+    def failing_at_kn_one(plant):
+        if plant.channels[1].k_n == 1.0:
+            raise NotHurwitz("injected failure")
+        return design_algorithm3(plant)
+
+    monkeypatch.setattr(qobs.sweep, "design_algorithm3", failing_at_kn_one)
+    rows = run_sweep(ScenarioConfig(0.1, 0.1, kn_grid=(0.5, 1.0)))
+    assert rows[0].errors == {}
+    assert rows[1].errors == {"alg3": "NotHurwitz: injected failure"}
+    out = tmp_path / "rows.csv"
+    emit_csv(rows, out)
+    header = CSV_HEADER.split(",")
+    lines = out.read_text().splitlines()
+    for line, failed in zip(lines[1:], (False, True)):
+        cells = dict(zip(header, line.split(",")))
+        for name, value in cells.items():
+            assert (value == "") == (failed and name.startswith("alg3_")), name
+    argv = ["sweep", "--kn-min", "0.5", "--kn-max", "1", "--kn-points", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {out} (1 rows carry designer errors)\n"
 
 
 class TestEmitCsv:
@@ -314,6 +341,26 @@ class TestCli:
                 assert not out.exists()
         assert json.loads((tmp_path / "alg2.json").read_text())["provenance"]["rho"] > 0.0
         assert main(["check", "--system", str(tmp_path / "alg2.json")]) == 0
+
+    def test_sweep_grid_bound_alone_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--kn-min", "0.5", "--out", str(out)]) == 1
+        assert "must be given together" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_plot_files_match_the_csv(self, tmp_path):
+        out, plots = tmp_path / "sweep.csv", tmp_path / "plots"
+        argv = [
+            "sweep", "--kn-min", "0.5", "--kn-max", "2", "--kn-points", "3",
+            "--algorithms", "alg1,classical", "--out", str(out), "--plot-dir", str(plots),
+        ]
+        assert main(argv) == 0
+        assert sorted(p.name for p in plots.iterdir()) == ["alg1.dat", "classical.dat"]
+        header = CSV_HEADER.split(",")
+        rows = [dict(zip(header, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        for alg in ("alg1", "classical"):
+            pairs = [line.split(" ") for line in (plots / f"{alg}.dat").read_text().splitlines()]
+            assert pairs == [[row["k_n"], row[f"{alg}_trace"]] for row in rows]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

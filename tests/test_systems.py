@@ -15,10 +15,10 @@ from qobs import (
     QuantumLinearSystem,
     canonical_theta,
     commutation_residual,
-    gamma_matrix,
+    field_gain,
     ito_structure,
     make_cavity_plant,
-    permutation_matrix,
+    quadrature_readout,
     realize_from_hamiltonian,
     system_from_dict,
     system_to_dict,
@@ -117,38 +117,31 @@ class TestNoiseChannel:
             NoiseChannel.thermal(k_n)
 
 
-class TestPermutationMatrix:
-    def test_two_is_identity(self):
-        assert np.array_equal(permutation_matrix(2), np.eye(2))
+class TestFieldGain:
+    def test_readout_rows_are_real_and_imaginary_parts(self):
+        lam = np.array([[1.0 + 2.0j, 3.0 + 4.0j], [-1.0j, 0.5]])
+        expected = [[2.0, 6.0], [4.0, 8.0], [0.0, 1.0], [-2.0, 0.0]]
+        assert np.array_equal(quadrature_readout(lam), expected)
 
-    def test_four_reorders_middle_pair(self):
-        P = permutation_matrix(4)
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(P @ a, [1.0, 3.0, 2.0, 4.0])
+    def test_output_field_gain(self):
+        assert np.array_equal(field_gain(J, np.eye(2)), -np.eye(2))
 
-    @given(st.integers(min_value=1, max_value=6))
-    def test_orthogonal(self, m):
-        P = permutation_matrix(2 * m)
-        assert np.array_equal(P @ P.T, np.eye(2 * m))
-
-    def test_odd_rejected(self):
-        with pytest.raises(DomainError):
-            permutation_matrix(3)
-
-
-class TestGammaMatrix:
-    def test_two_is_m(self):
-        assert_allclose(gamma_matrix(2), 0.5 * np.array([[1.0, 1j], [1.0, -1j]]))
-
-    @given(st.integers(min_value=1, max_value=5))
-    def test_gamma_gamma_dagger_half_identity(self, m):
-        G = gamma_matrix(2 * m)
-        assert_allclose(G @ G.conj().T, 0.5 * np.eye(2 * m), atol=1e-14)
-
-    def test_four_composes_permutation_and_blocks(self):
+    def test_matches_the_complex_gain_formula(self):
+        # the gain written as in the paper: 2i theta [-Lambda^H, Lambda^T] Gamma
+        # with Gamma = P kron(I, M), M = [[1, i], [1, -i]] / 2, and P sending
+        # (a1, a2, ..., a2m) to (a1, a3, ..., a2, a4, ...)
+        rng = np.random.default_rng(2008)
         M = 0.5 * np.array([[1.0, 1j], [1.0, -1j]])
-        expected = permutation_matrix(4) @ np.kron(np.eye(2), M)
-        assert_allclose(gamma_matrix(4), expected)
+        for _ in range(100):
+            n_x, m = 2 * int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            lam = rng.normal(size=(m, n_x)) + 1j * rng.normal(size=(m, n_x))
+            P = np.zeros((2 * m, 2 * m))
+            P[np.arange(m), 2 * np.arange(m)] = 1.0
+            P[m + np.arange(m), 2 * np.arange(m) + 1] = 1.0
+            theta = canonical_theta(n_x // 2)
+            gain = 2j * theta @ np.hstack([-lam.conj().T, lam.T]) @ (P @ np.kron(np.eye(m), M))
+            assert not gain.imag.any()
+            assert np.array_equal(gain.real, field_gain(theta, quadrature_readout(lam)))
 
 
 class TestRealizeFromHamiltonian:
@@ -195,6 +188,9 @@ class TestRealizeFromHamiltonian:
             s = realize_from_hamiltonian(hc)
             res = np.linalg.norm(s.residual())
             assert res <= 1e-10 * (1.0 + np.linalg.norm(s.A))
+            L = quadrature_readout(lam)
+            assert np.array_equal(s.B, field_gain(canonical_theta(n_x // 2), L))
+            assert np.array_equal(s.C, L[:n_y])
             assert np.array_equal(
                 s.D, np.hstack([np.eye(n_y), np.zeros((n_y, n_w - n_y))])
             )
