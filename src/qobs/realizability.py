@@ -14,6 +14,8 @@ repair mechanisms are provided:
   a suitable nonsingular solution.
 
 Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field_gain`.
+:func:`v2_intensity` gives ``B_v2 B_v2^T``, all that a covariance reads of
+``B_v2``, for a whole stack of filters without forming ``B_v2``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "stilde",
     "min_vacuum_rank",
     "augment_noise",
+    "v2_intensity",
     "skew_riccati_transform",
     "transfer_function_gap",
     "default_frequency_grid",
@@ -52,11 +55,12 @@ def _skew_coefficients(A_hat, B_hat, C_hat):
     """``(F, B, M, H)`` of the filter's skew Riccati equation, as :mod:`.solvers` takes them.
 
     The equation is ``X B_hat theta_y B_hat^T X - X A_hat - A_hat^T X -
-    C_hat^T theta_eta C_hat = 0``, the thetas sized to the input and output fields.
+    C_hat^T theta_eta C_hat = 0``, the thetas sized to the input and output
+    fields. ``A_hat`` and ``B_hat`` may be stacks of filters.
     """
     A_hat, B_hat, C_hat = (np.asarray(M, dtype=float) for M in (A_hat, B_hat, C_hat))
     th_eta = canonical_theta(C_hat.shape[0] / 2)
-    return A_hat, B_hat, canonical_theta(B_hat.shape[1] / 2), C_hat.T @ th_eta @ C_hat
+    return A_hat, B_hat, canonical_theta(B_hat.shape[-1] / 2), C_hat.T @ th_eta @ C_hat
 
 
 def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -69,23 +73,25 @@ def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarra
     return riccati_residual(*_skew_coefficients(A_hat, B_hat, C_hat), np.asarray(X, dtype=float))
 
 
-def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The filter's defect ``S_tilde`` and the positive part of the spectrum of ``i S_tilde / 4``.
+def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, ...]:
+    """The filter's defect ``S_tilde``, the spectrum of ``i S_tilde / 4``, and its positive part.
 
-    Keeps the eigenvalues above ``RANK_RTOL`` times the scale of the terms
-    ``S_tilde / 4`` is formed from, ``(||theta B theta_y B^T theta||_2 +
-    2 ||A_hat||_2 + ||C^T theta_eta C||_2) / 4``, so a round-off defect has
-    rank 0; sorted descending, with their eigenvectors as columns. A real
-    skew ``S_tilde`` has eigenvalues in ``+/-`` pairs, so twice their count
-    is its numerical rank.
+    Returns ``(S_tilde, eigvals, eigvecs, keep)``: the eigenvalues ascending,
+    their eigenvectors as columns, and the mask of those above ``RANK_RTOL``
+    times the scale of the terms ``S_tilde / 4`` is formed from,
+    ``(||theta B theta_y B^T theta||_2 + 2 ||A_hat||_2 + ||C^T theta_eta C||_2) / 4``,
+    so a round-off defect has rank 0. A real skew ``S_tilde`` has eigenvalues
+    in ``+/-`` pairs, so twice the kept count is its numerical rank. For a
+    stack of filters every result has the stack's leading axis.
     """
     F, B, M, H = _skew_coefficients(A_hat, B_hat, C_hat)
     theta = np.asarray(theta, dtype=float)
     S_t = riccati_residual(F, B, M, H, theta)
-    norms = np.linalg.norm(np.stack([theta @ B @ M @ B.T @ theta, F, H]), 2, axis=(1, 2))
+    terms = np.broadcast_arrays(theta @ B @ M @ np.swapaxes(B, -1, -2) @ theta, F, H)
+    norms = np.linalg.norm(np.stack(terms), 2, axis=(-2, -1))
     eigvals, eigvecs = np.linalg.eigh(0.25j * S_t)
-    keep = eigvals > RANK_RTOL * (norms[0] + 2.0 * norms[1] + norms[2]) / 4.0
-    return S_t, eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
+    keep = eigvals > np.expand_dims(RANK_RTOL * (norms[0] + 2.0 * norms[1] + norms[2]) / 4.0, -1)
+    return S_t, eigvals, eigvecs, keep
 
 
 def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> int:
@@ -95,7 +101,7 @@ def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, the
     above ``RANK_RTOL`` times the scale of its terms, the count
     :func:`augment_noise` builds ``B_v2`` from.
     """
-    return 2 * _defect_spectrum(A_hat, B_hat, C_hat, theta)[1].size
+    return 2 * int(np.count_nonzero(_defect_spectrum(A_hat, B_hat, C_hat, theta)[3]))
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
@@ -143,13 +149,28 @@ def augment_noise(
     ``B_v2 diag(J) B_v2^T`` are what the construction guarantees.
     """
     theta = np.asarray(theta, dtype=float)
-    S_t, eigvals, eigvecs = _defect_spectrum(A_hat, B_hat, C_hat, theta)
+    S_t, eigvals, eigvecs, keep = _defect_spectrum(A_hat, B_hat, C_hat, theta)
+    eigvals, eigvecs = eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
     if eigvals.size == 0:
         B_v2 = np.zeros((theta.shape[0], 0))
     else:
         W = np.sqrt(2.0 * eigvals)[:, None] * _fix_column_phases(eigvecs).conj().T
         B_v2 = field_gain(theta, quadrature_readout(W))
     return AugmentResult(S_tilde=S_t, B_v1=field_gain(theta, np.asarray(C_hat, dtype=float)), B_v2=B_v2)
+
+
+def v2_intensity(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``B_v2 B_v2^T`` of :func:`augment_noise`'s ``B_v2``, without forming ``B_v2``.
+
+    ``B_v2 B_v2^T = theta |S_tilde| theta^T``, where ``|S_tilde|`` is eight
+    times the real part of the kept positive part ``sum_k lambda_k v_k v_k^H``
+    of ``i S_tilde / 4``: no ``W``, no phase pinning and no field gain. For
+    stacks of ``A_hat`` and ``B_hat`` it gives a stack.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _, eigvals, eigvecs, keep = _defect_spectrum(A_hat, B_hat, C_hat, theta)
+    positive = np.where(keep, eigvals, 0.0)[..., None, :]
+    return theta @ (8.0 * ((eigvecs * positive) @ np.swapaxes(eigvecs.conj(), -1, -2)).real) @ theta.T
 
 
 @dataclass(frozen=True)

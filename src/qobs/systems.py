@@ -55,6 +55,12 @@ CHECK_RTOL = 1e-8
 COND_MAX = 1e12
 #: share of a column's largest entry below which no entry is its phase pivot
 PIVOT_RTOL = 1e-12
+#: relative step of the matrix sign iteration below which it has converged
+SIGN_RTOL = 1e-12
+#: largest ``cond(X1)`` of a batched CARE solution that stands in for the Schur route's
+SIGN_COND_MAX = 1e4
+#: sign-iteration steps after which a slice that has not converged is left to the Schur method
+SIGN_MAX_ITER = 50
 
 #: single-mode commutation block
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

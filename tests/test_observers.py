@@ -1,7 +1,11 @@
 """Designer tests: the three coherent designs, the heterodyne baseline, the metric."""
 
 import dataclasses
+import importlib.util
 import json
+import logging
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,7 @@ from qobs import (
     design_algorithm2,
     design_algorithm3,
     design_classical,
+    default_rho_grid,
     error_system,
     evaluate_performance,
     integrate_covariance,
@@ -31,9 +36,58 @@ from qobs import (
     solve_care,
     transfer_function_gap,
 )
+from qobs.sweep import default_kn_grid
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: every fourth default-grid point plus the transformation boundaries
+CAVITY_KNS = sorted(set(default_kn_grid()[::4]) | {69.0, 70.0, 909.0, 910.0})
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    """perfbench's workload module, loaded from its file without changing perfbench."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))  # for its sibling module ``oracle``
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[spec.name]
+    return module
+
+
+def reference_only(monkeypatch):
+    """Make design_algorithm2 score every candidate through the reference path, as it did before the batch."""
+    monkeypatch.setattr(qobs.observers, "_grid_traces", lambda plant, rhos: np.full(len(rhos), np.nan))
+
+
+def design_both_ways(plant, monkeypatch, caplog):
+    """``(batched, reference-only)`` results of design_algorithm2, each with its skip log."""
+    caplog.set_level(logging.DEBUG, logger="qobs.observers")
+    results = []
+    for patch in (False, True):
+        caplog.clear()
+        with monkeypatch.context() as m:
+            if patch:
+                reference_only(m)
+            obs, rho_opt, curve = design_algorithm2(plant)
+        skips = [record.getMessage() for record in caplog.records]
+        results.append((evaluate_performance(plant, obs), rho_opt, dict(curve), skips))
+    return results
+
+
+def assert_same_answer(batched, reference):
+    """The answer of the batched run is the reference-only run's, bit for bit."""
+    (rep_b, rho_b, curve_b, skips_b), (rep_r, rho_r, curve_r, skips_r) = batched, reference
+    assert rho_b == rho_r
+    assert rep_b.trace == rep_r.trace
+    assert rep_b.J_bar.tobytes() == rep_r.J_bar.tobytes()
+    assert skips_b == skips_r
+    assert sorted(curve_b) == sorted(curve_r)
 
 
 @pytest.fixture
@@ -148,6 +202,11 @@ class TestAlgorithm2:
         with pytest.raises(Exception, match="include 0"):
             design_algorithm2(plant, rho_candidates=[0.5])
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan, 1e200])
+    def test_candidate_without_a_finite_square_is_refused(self, rho):
+        with pytest.raises(DomainError, match="finite squares"):
+            design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[0.0, rho])
+
     def test_empty_candidate_list_is_refused(self):
         with pytest.raises(DomainError, match="must be non-empty"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[])
@@ -180,10 +239,83 @@ class TestAlgorithm2:
         assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
 
     def test_each_rho_is_designed_once(self, care_calls):
-        # the golden-section pass carries one interior point forward per
-        # iteration; that point must not be designed a second time
+        # the grid is batch-scored; rho = 0 (here also the grid minimizer) and
+        # the 21 golden-section points are designed, each once, though the
+        # golden-section pass carries one interior point forward per iteration
         _, _, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
-        assert len(care_calls) == len(curve) == len({rho for rho, _ in curve}) == 83
+        assert len(curve) == len({rho for rho, _ in curve}) == 83
+        designed = {tuple(M.tobytes() for M in args) for args in care_calls}
+        assert len(care_calls) == len(designed) == 22
+
+    def test_memory_stays_flat_on_a_large_plant(self, perfbench_workloads):
+        # the batch's Kronecker operators are built in chunks: for the whole
+        # grid at n_x = 8 they take 2 MB, and the linear solve copies them
+        stratum = perfbench_workloads.STRATA.index((8, 3, 6))
+        plant = perfbench_workloads.pool_plant(stratum, 0)
+        design_algorithm2(plant)
+        tracemalloc.start()
+        try:
+            design_algorithm2(plant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("scenario", [co.S1, co.S2, co.S3])
+    def test_batch_decides_as_the_reference_path_on_the_cavity(self, scenario, monkeypatch, caplog):
+        grid = default_rho_grid()
+        for kn in CAVITY_KNS:
+            plant = make_cavity_plant(*scenario, kn)
+            batched, reference = design_both_ways(plant, monkeypatch, caplog)
+            assert_same_answer(batched, reference)
+            traces = qobs.observers._grid_traces(plant, grid[1:])
+            expected = np.array([reference[2][rho] for rho in grid[1:]])
+            assert_allclose(traces, expected, rtol=1e-10, atol=0.0)
+
+    def test_batch_decides_as_the_reference_path_on_random_plants(self, perfbench_workloads, monkeypatch, caplog):
+        grid = default_rho_grid()
+        scored = 0
+        for stratum in range(len(perfbench_workloads.STRATA)):
+            plant = perfbench_workloads.pool_plant(stratum, 0)
+            batched, reference = design_both_ways(plant, monkeypatch, caplog)
+            assert_same_answer(batched, reference)
+            traces = qobs.observers._grid_traces(plant, grid[1:])
+            ok = np.isfinite(traces)
+            expected = np.array([reference[2].get(rho, np.nan) for rho in grid[1:]])
+            assert not np.isnan(expected[ok]).any()  # no batch score where the reference path fails
+            assert_allclose(traces[ok], expected[ok], rtol=1e-8, atol=0.0)
+            scored += np.count_nonzero(ok)
+        assert scored >= 0.9 * 24 * (len(grid) - 1)  # the batch does score the grid
+
+    def test_failed_slice_takes_the_reference_path(self, care_calls, monkeypatch):
+        plant = make_cavity_plant(*co.S2, 10.0)
+        grid = default_rho_grid()
+        failed = grid[30]
+        stack = qobs.observers.solve_care_stack
+
+        def one_slice_fails(*args):
+            K, A_hat, ok = stack(*args)
+            ok[29] = False  # the slice of grid[30]; grid[0] = 0 is not batched
+            return K, A_hat, ok
+
+        with monkeypatch.context() as m:
+            reference_only(m)
+            _, _, reference = design_algorithm2(plant)
+        calls = len(care_calls)
+        monkeypatch.setattr(qobs.observers, "solve_care_stack", one_slice_fails)
+        _, _, curve = design_algorithm2(plant)
+        assert dict(curve)[failed] == dict(reference)[failed]
+        V2 = qobs.observers._care_inputs(plant, failed)[4]
+        assert [np.array_equal(args[4], V2) for args in care_calls[calls:]].count(True) == 1
+
+    def test_slice_the_schur_route_fails_is_skipped_for_its_reason(self, perfbench_workloads, monkeypatch, caplog):
+        # on this pool plant the Schur route fails at rho = 100 with a
+        # non-real Riccati solution (cond(X1) = 5e7), where the sign function
+        # succeeds; the slice is left to the reference path, which decides
+        plant = perfbench_workloads.pool_plant(12, 0)
+        assert np.isnan(qobs.observers._grid_traces(plant, [100.0])).all()
+        batched, reference = design_both_ways(plant, monkeypatch, caplog)
+        assert_same_answer(batched, reference)
 
     def test_curve_is_deterministic(self):
         plant = make_cavity_plant(0.5, 0.01, 20.0)

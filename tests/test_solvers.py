@@ -17,6 +17,7 @@ from qobs import (
     solve_lyapunov,
     stable_subspace,
 )
+from qobs.solvers import solve_care_stack, solve_lyapunov_stack
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -101,6 +102,47 @@ class TestSolveCare:
         C = np.zeros((2, 2))
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, C, np.eye(2), np.zeros((2, 2)), np.eye(2))
+
+
+class TestSolveCareStack:
+    def test_matches_solve_care(self):
+        # one random plant against a stack of measurement-noise intensities
+        rng = np.random.default_rng(31)
+        for n, p in ((2, 2), (4, 2), (6, 4)):
+            A, C = rng.normal(size=(n, n)), rng.normal(size=(p, n))
+            Bn, Dn = rng.normal(size=(n, n + p)), rng.normal(size=(p, n + p))
+            V1, V12 = Bn @ Bn.T, Bn @ Dn.T
+            V2 = np.stack([Dn @ Dn.T + r * r * np.eye(p) for r in (0.01, 0.3, 1.0, 10.0)])
+            K, A_hat, ok = solve_care_stack(A, C, V1, V12, V2)
+            assert ok.all()
+            for k in range(len(V2)):
+                kd = solve_care(A, C, V1, V12, V2[k])
+                assert_allclose(K[k], kd.K, rtol=1e-9, atol=1e-12 * np.max(np.abs(kd.K)))
+                assert_allclose(A_hat[k], A - K[k] @ C, rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("A", [np.eye(2), J], ids=["undetectable", "imaginary-axis"])
+    def test_failing_slices_are_flagged_not_raised(self, A):
+        # what solve_care refuses with a typed error, the stack flags
+        with pytest.raises(NoStabilizingSolution):
+            solve_care(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.eye(2))
+        V2 = np.stack([np.eye(2), 4.0 * np.eye(2)])
+        _, _, ok = solve_care_stack(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
+        assert not ok.any()
+
+
+class TestSolveLyapunovStack:
+    def test_matches_solve_lyapunov(self):
+        # n = 8 takes more than one chunk of Kronecker operators
+        rng = np.random.default_rng(41)
+        for n, m in ((2, 5), (8, 40)):
+            M = rng.normal(size=(m, n, n))
+            shift = np.max(np.linalg.eigvals(M).real, axis=-1) + 0.3
+            A = M - shift[:, None, None] * np.eye(n)
+            G = rng.normal(size=(m, n, n))
+            N = G @ np.swapaxes(G, -1, -2)
+            P = solve_lyapunov_stack(A, N)
+            for k in range(m):
+                assert_allclose(P[k], solve_lyapunov(A[k], N[k]), rtol=1e-10, atol=1e-12)
 
 
 class TestSolveLyapunov:

@@ -262,8 +262,27 @@ class TestCli:
         rc = main(["check", "--system", str(path)])
         assert rc == 2
         out = capsys.readouterr().out
+        assert "read as a filter whose output is fed back through field_gain(theta, C):" in out
         assert "minimal extra vacuum quadratures (n_v2): 2" in out
         assert "physically realizable: no" in out
+
+    @pytest.mark.parametrize("what", ["plant", "alg1", "alg3"])
+    def test_check_of_a_realizable_system_reports_no_defect(self, what, tmp_path, capsys):
+        # the report used to read (A, B, C) as a fed-back filter and print
+        # n_v2 = 2 and a failed transformation beside the verdict yes
+        path = tmp_path / "plant.json"
+        save_system(make_cavity_plant(*SCENARIOS["s2"], 1.0), path)
+        if what != "plant":
+            out = tmp_path / f"{what}.json"
+            assert main(["design", "--plant", str(path), "--algorithm", what, "--out", str(out)]) == 0
+            path = out
+        capsys.readouterr()
+        assert main(["check", "--system", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "minimal extra vacuum quadratures (n_v2): 0",
+            "state transformation (n_v2 = 0): not needed",
+            "physically realizable: yes",
+        ]
 
     def test_check_malformed_json_exits_three(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
