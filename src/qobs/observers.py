@@ -33,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, QobsError
-from .realizability import TransformResult, augment_noise, skew_riccati_transform, v2_intensity
-from .solvers import KalmanDesign, solve_care, solve_care_stack, solve_lyapunov, solve_lyapunov_stack
-from .systems import QuantumLinearSystem, field_gain
+from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
+from .solvers import KalmanDesign, _solve_care_stack, _solve_lyapunov_stack, solve_care, solve_lyapunov
+from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
 
 logger = logging.getLogger(__name__)
 
@@ -168,23 +168,24 @@ def _grid_traces(plant: QuantumLinearSystem, rhos: Sequence[float]) -> np.ndarra
 
     Scores what :func:`evaluate_performance` would give each candidate's
     augmented filter, from its defect ``S_tilde`` alone: the error covariance
-    reads ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`v2_intensity`). The
+    reads ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so
+    the noise intensity of :func:`error_system` is formed block by block. The
     traces agree with the reference path's to round-off amplified by the
-    conditioning of the Riccati and Lyapunov equations, about 1e-10 relative
-    on the cavity and 1e-8 on random plants. NaN marks a candidate that
-    failed a check of :func:`solve_care_stack`; only the reference path can
-    score it or say why it fails.
+    conditioning of the Riccati and Lyapunov equations, within ``GRID_RTOL``
+    relative on the cavity and on perfbench's pool plants. NaN marks a
+    candidate that failed a check of :func:`_solve_care_stack`; only the
+    reference path can score it or say why it fails.
     """
     rhos = np.asarray(rhos, dtype=float)
-    K, A_hat, ok = solve_care_stack(*_care_inputs(plant, rhos))
+    K, A_hat, ok = _solve_care_stack(*_care_inputs(plant, rhos))
     traces = np.full(rhos.shape, np.nan)
     if ok.any():
         K, A_hat = K[ok], A_hat[ok]
-        C_hat, S_w, theta = np.eye(plant.n_x), plant.ito.S, plant.theta
+        C_hat, theta = np.eye(plant.n_x), plant.theta
         B_v1 = field_gain(theta, C_hat)
-        G = plant.B - K @ plant.D
-        N = G @ S_w @ np.swapaxes(G, -1, -2) + B_v1 @ B_v1.T + v2_intensity(A_hat, K, C_hat, theta)
-        traces[ok] = np.trace(solve_lyapunov_stack(A_hat, N), axis1=-2, axis2=-1)
+        G = _plant_noise_gain(plant, K)
+        N = G @ plant.ito.S @ np.swapaxes(G, -1, -2) + B_v1 @ B_v1.T + _v2_intensity(A_hat, K, C_hat, theta)
+        traces[ok] = np.trace(_solve_lyapunov_stack(A_hat, N), axis1=-2, axis2=-1)
     return traces
 
 
@@ -204,11 +205,14 @@ def design_algorithm2(
     (:func:`_grid_traces`). Every value that decides the answer goes through
     the reference path, which designs the candidate and runs
     :func:`evaluate_performance`: ``rho = 0``, whose trace is flat to
-    round-off in ``rho``; each candidate the batch could not score; the grid
-    minimizer, re-scored before the bracket is formed; and every
-    golden-section point. ``rho_opt`` is the best of these, so the alg2
-    trace is at most the alg1 trace bit for bit. Each distinct ``rho`` is
-    scored once.
+    round-off in ``rho``; each candidate the batch could not score; before
+    the bracket is formed, every candidate whose batch trace lies within
+    ``GRID_RTOL`` of the best reference trace, until none is left; and every
+    golden-section point. The bracket's centre is thus the reference path's
+    grid minimizer wherever the batch traces are within ``GRID_RTOL`` of
+    the reference ones. ``rho_opt`` is the best reference-scored value, so
+    the alg2 trace is at most the alg1 trace bit for bit. Each distinct
+    ``rho`` is scored once.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding one
     ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``; the traces of
@@ -249,17 +253,20 @@ def design_algorithm2(
         trace = reference(rho) if np.isnan(batch_trace) else float(batch_trace)
         if trace is not None:
             grid[rho] = trace
-    # the bracket is formed around a reference-scored minimizer: re-score the
-    # grid minimizer until no batch trace lies below it
+    # the bracket is formed around a reference-scored minimizer: re-score
+    # every batch trace that might, within its error, lie below it
     while grid:
         best = min(grid, key=grid.get)
-        if best in scored:
+        bound = grid[best] + GRID_RTOL * abs(grid[best])
+        near = [rho for rho, trace in grid.items() if trace <= bound and rho not in scored]
+        if not near:
             break
-        trace = reference(best)
-        if trace is None:
-            del grid[best]
-        else:
-            grid[best] = trace
+        for rho in near:
+            trace = reference(rho)
+            if trace is None:
+                del grid[rho]
+            else:
+                grid[rho] = trace
     if not grid:
         reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped)
         raise DomainError(f"every rho candidate failed ({reasons})")
@@ -319,6 +326,11 @@ def design_classical(plant: QuantumLinearSystem) -> ClassicalObserver:
     return ClassicalObserver(K=kd.K, A_hat=kd.A_hat, design=kd)
 
 
+def _plant_noise_gain(plant: QuantumLinearSystem, K: np.ndarray) -> np.ndarray:
+    """Gain ``B - K D`` of the plant's noise in the error dynamics of a filter with gain ``K`` (or a stack)."""
+    return plant.B - K @ plant.D
+
+
 def error_system(
     plant: QuantumLinearSystem,
     observer: CoherentObserver | ClassicalObserver,
@@ -328,13 +340,15 @@ def error_system(
     ``d(x - xi) = A_e (x - xi) dt + B_e d(noises)`` with all noise sources
     independent, so ``S_joint`` is block diagonal: the plant's intensity
     followed by identity blocks for each vacuum input of the observer.
+    :func:`_grid_traces` forms ``B_e S_joint B_e^T`` of a coherent observer
+    block by block, from the same plant-noise gain.
     """
     S_w = plant.ito.S
     if isinstance(observer, ClassicalObserver):
-        gains = [plant.B - observer.K @ plant.D, -observer.K]
+        gains = [_plant_noise_gain(plant, observer.K), -observer.K]
     else:
         gains = [
-            plant.B - observer.B_hat @ plant.D,
+            _plant_noise_gain(plant, observer.B_hat),
             -observer.noise_gain_v1,
             -observer.B_v2,
         ]

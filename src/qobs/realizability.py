@@ -14,7 +14,7 @@ repair mechanisms are provided:
   a suitable nonsingular solution.
 
 Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field_gain`.
-:func:`v2_intensity` gives ``B_v2 B_v2^T``, all that a covariance reads of
+:func:`_v2_intensity` gives ``B_v2 B_v2^T``, all that a covariance reads of
 ``B_v2``, for a whole stack of filters without forming ``B_v2``.
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "stilde",
     "min_vacuum_rank",
     "augment_noise",
-    "v2_intensity",
     "skew_riccati_transform",
     "transfer_function_gap",
     "default_frequency_grid",
@@ -159,7 +158,7 @@ def augment_noise(
     return AugmentResult(S_tilde=S_t, B_v1=field_gain(theta, np.asarray(C_hat, dtype=float)), B_v2=B_v2)
 
 
-def v2_intensity(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _v2_intensity(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``B_v2 B_v2^T`` of :func:`augment_noise`'s ``B_v2``, without forming ``B_v2``.
 
     ``B_v2 B_v2^T = theta |S_tilde| theta^T``, where ``|S_tilde|`` is eight

@@ -9,13 +9,15 @@ Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
 1979). A fixed-step integrator for the covariance flow serves as an
 independent cross-check of the Lyapunov route.
 
-:func:`solve_care_stack` and :func:`solve_lyapunov_stack` solve a stack of
-filter CAREs and Lyapunov equations in one batched pass, for scoring many
-candidate filters at once: the matrix sign function with determinant scaling
+:func:`_solve_care_stack` and :func:`_solve_lyapunov_stack` solve a stack
+of filter CAREs and Lyapunov equations in one batched pass, for scoring many
+candidate filters at once; :func:`solve_lyapunov` is the stack routine on a
+stack of one. For the CAREs the matrix sign function with determinant scaling
 (Roberts, Int. J. Control 1980; Byers, Linear Algebra Appl. 1987) replaces
 the Schur decomposition, which cannot be batched. Each slice carries the
 Schur route's checks, and a slice that fails one is flagged for the caller to
-solve through :func:`solve_care`, so the stack routine decides no failure.
+solve through :func:`solve_care`, so the stack routine decides no failure and
+raises none.
 """
 
 from __future__ import annotations
@@ -50,14 +52,12 @@ __all__ = [
     "riccati_solution",
     "riccati_residual",
     "solve_care",
-    "solve_care_stack",
     "solve_lyapunov",
-    "solve_lyapunov_stack",
     "integrate_covariance",
 ]
 
 
-#: bytes of one chunk of solve_lyapunov_stack's Kronecker operators; the linear solve copies
+#: bytes of one chunk of _solve_lyapunov_stack's Kronecker operators; the linear solve copies
 #: the chunk once more, so about twice this is live at a time
 KRON_CHUNK_BYTES = 1 << 19
 
@@ -150,7 +150,8 @@ def solve_care(
     ``K = (Q C^T + V12) V2^-1`` and the filter matrix ``A_hat = A - K C``,
     the one place that matrix is formed; the construction guarantees it is
     Hurwitz whenever it succeeds. Raises :class:`DomainError` when the
-    measurement-noise intensity ``V2`` is not positive definite.
+    measurement-noise intensity ``V2`` is not positive definite, or its
+    inverse or the coefficients built from it are not finite.
     """
     A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
     try:
@@ -158,7 +159,9 @@ def solve_care(
     except np.linalg.LinAlgError:
         raise DomainError("measurement-noise intensity V2 is not positive definite") from None
     V2_inv = np.linalg.inv(V2)
-    coefficients = _care_coefficients(A, C, V1, V12, V2_inv)
+    coefficients = F, _, _, H = _care_coefficients(A, C, V1, V12, V2_inv)
+    if not (np.isfinite(V2_inv).all() and np.isfinite(F).all() and np.isfinite(H).all()):
+        raise DomainError("measurement-noise intensity V2 is too near singular to invert in floating point")
     try:
         Q = riccati_solution(*coefficients)
     except (QobsError, np.linalg.LinAlgError) as exc:
@@ -204,7 +207,20 @@ def _sign_stack(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W, converged
 
 
-def solve_care_stack(
+def _finite_slices(ok: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+    """``ok`` and-ed with the finiteness of each slice of ``stacks``, whose other slices are zeroed in place.
+
+    Keeps the junk of a flagged slice out of the batched routines that
+    follow, which would raise for the whole stack on one non-finite slice.
+    """
+    for S in stacks:
+        ok = ok & np.isfinite(S).all(axis=(-2, -1))
+    for S in stacks:
+        S[~ok] = 0.0
+    return ok
+
+
+def _solve_care_stack(
     A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The filters of :func:`solve_care` for a stack ``V2`` of measurement-noise intensities.
@@ -215,6 +231,9 @@ def solve_care_stack(
     space of ``W + I``, so ``X`` is the least-squares solution of
     ``[W12; W22 + I] X = -[W11 + I; W21]``. A slice is ``ok`` when
 
+    * its ``V2`` has eigenvalues in the normal floating-point range, at
+      most ``1 / eps`` apart, and a finite inverse; the Hamiltonian, the
+      sign iteration and every product below are finite;
     * its sign iteration converged (see :func:`_sign_stack`);
     * its Riccati residual is at most ``CHECK_RTOL`` times the summed norms
       of the residual's terms;
@@ -228,25 +247,33 @@ def solve_care_stack(
       :func:`solve_care` can tell whether such a slice succeeds;
     * ``A_hat`` is Hurwitz with :func:`solve_lyapunov`'s axis tolerance.
 
-    Gains of slices that are not ``ok`` are meaningless. ``V2`` must be
-    positive definite in every slice.
+    Gains of slices that are not ``ok`` are meaningless; no slice makes the
+    call raise.
     """
     A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
     n = A.shape[0]
-    V2_inv = np.linalg.inv(V2)
+    w = np.linalg.eigvalsh(np.where(np.isfinite(V2), V2, 0.0))
+    ok = (w[..., 0] >= np.finfo(float).tiny) & (w[..., 0] > np.finfo(float).eps * w[..., -1])
+    V2_inv = np.linalg.inv(np.where(ok[:, None, None], V2, np.eye(V2.shape[-1])))
     F, B, M, H = _care_coefficients(A, C, V1, V12, V2_inv)
     G = B @ M @ B.T
-    W, ok = _sign_stack(np.block([[F, -G], [-H, -np.swapaxes(F, -1, -2)]]))
-    W[~ok] = 0.0  # keeps non-finite junk out of the batched pseudo-inverse
+    Z = np.block([[F, -G], [-H, -np.swapaxes(F, -1, -2)]])
+    ok = _finite_slices(ok, Z)
+    W, converged = _sign_stack(Z)
+    ok = _finite_slices(ok & converged, W)
     W += np.eye(2 * n)  # W + I annihilates the stable subspace [I; X]
     Q = -np.linalg.pinv(W[..., n:]) @ W[..., :n]
     Q = (Q + np.swapaxes(Q, -1, -2)) / 2.0
-    scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in (Q @ G @ Q, 2.0 * Q @ F, H))
-    ok &= np.linalg.norm(riccati_residual(F, B, M, H, Q), axis=(-2, -1)) <= CHECK_RTOL * scale
+    residual = riccati_residual(F, B, M, H, Q)
+    terms = (Q @ G @ Q, 2.0 * Q @ F, H)
+    ok = _finite_slices(ok, Q, residual, *terms)
+    scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in terms)
+    ok &= np.linalg.norm(residual, axis=(-2, -1)) <= CHECK_RTOL * scale
     x2 = np.linalg.eigvalsh(Q) ** 2
     ok &= (1.0 + x2.max(axis=-1)) / (1.0 + x2.min(axis=-1)) <= SIGN_COND_MAX**2
     K = (Q @ C.T + V12) @ V2_inv
     A_hat = A - K @ C
+    ok = _finite_slices(ok, K, A_hat)
     poles = np.linalg.eigvals(A_hat)
     ok &= np.max(poles.real, axis=-1) < -_axis_tolerance(poles)
     return K, A_hat, ok
@@ -256,7 +283,8 @@ def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
     """Solve ``A_e P + P A_e^T + N = 0`` for Hurwitz ``A_e``.
 
     Desk-scale method: the equation is vectorized into a dense linear system
-    (at most 256 unknowns for the dimensions this package handles).
+    (at most 256 unknowns for the dimensions this package handles), the one
+    of :func:`_solve_lyapunov_stack` for a stack of one.
     """
     A_e = np.asarray(A_e, dtype=float)
     N = np.asarray(N, dtype=float)
@@ -268,19 +296,19 @@ def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
     worst = np.max(eigvals.real)
     if worst >= -tol:
         raise NotHurwitz(f"eigenvalue real part {worst:.3e} is not below -{tol:.3e}")
-    lhs = np.kron(np.eye(n), A_e) + np.kron(A_e, np.eye(n))
-    P = np.linalg.solve(lhs, -N.flatten(order="F")).reshape((n, n), order="F")
-    return (P + P.T) / 2.0
+    return _solve_lyapunov_stack(A_e[None], N[None])[0]
 
 
-def solve_lyapunov_stack(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
+def _solve_lyapunov_stack(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
     """:func:`solve_lyapunov` for a stack of Hurwitz ``A_e``, whose caller has checked them.
 
-    The vectorized systems are solved in chunks whose Kronecker operators
-    take at most ``KRON_CHUNK_BYTES`` together, so memory stays flat in the
-    stack's length.
+    Each equation is vectorized (column-major ``vec(P)``) into the system
+    ``(I (x) A_e + A_e (x) I) vec(P) = -vec(N)``. The systems are solved in
+    chunks whose Kronecker operators take at most ``KRON_CHUNK_BYTES``
+    together, so memory stays flat in the stack's length.
     """
     A_e = np.asarray(A_e, dtype=float)
+    N = np.asarray(N, dtype=float)
     m, n = A_e.shape[0], A_e.shape[-1]
     chunk = max(1, KRON_CHUNK_BYTES // (8 * n**4))
     P = np.empty((m, n, n))

@@ -61,6 +61,8 @@ SIGN_RTOL = 1e-12
 SIGN_COND_MAX = 1e4
 #: sign-iteration steps after which a slice that has not converged is left to the Schur method
 SIGN_MAX_ITER = 50
+#: relative error allowed in a batch-scored alg2 grid trace; candidates this close to the best are re-scored
+GRID_RTOL = 1e-8
 
 #: single-mode commutation block
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

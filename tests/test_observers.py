@@ -37,6 +37,7 @@ from qobs import (
     transfer_function_gap,
 )
 from qobs.sweep import default_kn_grid
+from qobs.systems import GRID_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
@@ -65,7 +66,7 @@ def reference_only(monkeypatch):
     monkeypatch.setattr(qobs.observers, "_grid_traces", lambda plant, rhos: np.full(len(rhos), np.nan))
 
 
-def design_both_ways(plant, monkeypatch, caplog):
+def design_both_ways(plant, monkeypatch, caplog, rho_candidates=None):
     """``(batched, reference-only)`` results of design_algorithm2, each with its skip log."""
     caplog.set_level(logging.DEBUG, logger="qobs.observers")
     results = []
@@ -74,7 +75,7 @@ def design_both_ways(plant, monkeypatch, caplog):
         with monkeypatch.context() as m:
             if patch:
                 reference_only(m)
-            obs, rho_opt, curve = design_algorithm2(plant)
+            obs, rho_opt, curve = design_algorithm2(plant, rho_candidates)
         skips = [record.getMessage() for record in caplog.records]
         results.append((evaluate_performance(plant, obs), rho_opt, dict(curve), skips))
     return results
@@ -207,6 +208,20 @@ class TestAlgorithm2:
         with pytest.raises(DomainError, match="finite squares"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[0.0, rho])
 
+    def test_candidate_whose_square_underflows_is_skipped(self, monkeypatch, caplog):
+        # with D = 0, V2 = rho^2 I: zero for rho = 1e-200, and a subnormal
+        # whose inverse overflows for rho = 1e-161; the batch flags both
+        # slices, and the reference path skips them for their reasons
+        plant = dataclasses.replace(make_cavity_plant(0.1, 0.1, 1.0), D=np.zeros((2, 4)))
+        candidates = [0.0, 1e-200, 1e-161, 0.1]
+        assert np.isnan(qobs.observers._grid_traces(plant, candidates[1:3])).all()
+        batched, reference = design_both_ways(plant, monkeypatch, caplog, candidates)
+        assert_same_answer(batched, reference)
+        assert batched[1] == 0.1
+        skips = batched[3]
+        assert any("rho=1e-200: DomainError: measurement-noise intensity V2 is not positive definite" in m for m in skips)
+        assert any("rho=1e-161: DomainError: measurement-noise intensity V2 is too near singular" in m for m in skips)
+
     def test_empty_candidate_list_is_refused(self):
         with pytest.raises(DomainError, match="must be non-empty"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[])
@@ -246,6 +261,28 @@ class TestAlgorithm2:
         assert len(curve) == len({rho for rho, _ in curve}) == 83
         designed = {tuple(M.tobytes() for M in args) for args in care_calls}
         assert len(care_calls) == len(designed) == 22
+
+    def test_batch_traces_within_the_tolerance_of_the_best_are_rescored(self, care_calls, monkeypatch):
+        # rho = 0 is the grid minimizer here; a batch trace within GRID_RTOL
+        # above its reference trace may hide a lower reference trace, so it
+        # is re-scored before the bracket is formed; one farther off is not
+        plant = make_cavity_plant(*co.S2, 69.0)
+        best = evaluate_performance(plant, design_algorithm1(plant)).trace
+        grid = default_rho_grid()
+        near, far = grid[1], grid[2]
+        grid_traces = qobs.observers._grid_traces
+
+        def perturbed(plant, rhos):
+            traces = grid_traces(plant, rhos)
+            traces[list(rhos).index(near)] = best * (1.0 + GRID_RTOL / 2.0)
+            traces[list(rhos).index(far)] = best * (1.0 + 2.0 * GRID_RTOL)
+            return traces
+
+        monkeypatch.setattr(qobs.observers, "_grid_traces", perturbed)
+        _, rho_opt, _ = design_algorithm2(plant)
+        assert rho_opt == 0.0
+        V2s = [qobs.observers._care_inputs(plant, rho)[4] for rho in (near, far)]
+        assert [sum(np.array_equal(args[4], V2) for args in care_calls) for V2 in V2s] == [1, 0]
 
     def test_memory_stays_flat_on_a_large_plant(self, perfbench_workloads):
         # the batch's Kronecker operators are built in chunks: for the whole
@@ -291,7 +328,7 @@ class TestAlgorithm2:
         plant = make_cavity_plant(*co.S2, 10.0)
         grid = default_rho_grid()
         failed = grid[30]
-        stack = qobs.observers.solve_care_stack
+        stack = qobs.observers._solve_care_stack
 
         def one_slice_fails(*args):
             K, A_hat, ok = stack(*args)
@@ -302,7 +339,7 @@ class TestAlgorithm2:
             reference_only(m)
             _, _, reference = design_algorithm2(plant)
         calls = len(care_calls)
-        monkeypatch.setattr(qobs.observers, "solve_care_stack", one_slice_fails)
+        monkeypatch.setattr(qobs.observers, "_solve_care_stack", one_slice_fails)
         _, _, curve = design_algorithm2(plant)
         assert dict(curve)[failed] == dict(reference)[failed]
         V2 = qobs.observers._care_inputs(plant, failed)[4]

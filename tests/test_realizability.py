@@ -18,7 +18,7 @@ from qobs import (
     stilde,
     transfer_function_gap,
 )
-from qobs.realizability import v2_intensity
+from qobs.realizability import _v2_intensity
 from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -119,16 +119,16 @@ def test_v2_intensity_is_the_gram_of_b_v2():
     by_shape = {}
     for A_hat, B_hat, C_hat, theta in random_filter_triples(60):
         B_v2 = augment_noise(A_hat, B_hat, C_hat, theta).B_v2
-        gram = v2_intensity(A_hat, B_hat, C_hat, theta)
+        gram = _v2_intensity(A_hat, B_hat, C_hat, theta)
         assert_allclose(gram, B_v2 @ B_v2.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(gram))))
         by_shape.setdefault(B_hat.shape, []).append((A_hat, B_hat, theta, gram))
     for shape, filters in by_shape.items():
         A_hat, B_hat, theta, gram = (np.stack(column) for column in zip(*filters))
-        stacked = v2_intensity(A_hat, B_hat, np.eye(shape[0]), theta[0])
+        stacked = _v2_intensity(A_hat, B_hat, np.eye(shape[0]), theta[0])
         assert_allclose(stacked, gram, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(gram))))
     # a filter that needs no B_v2 channels has none to add
     tf = skew_riccati_transform(-0.3 * np.eye(2), 0.1 * np.eye(2), np.eye(2), J)
-    assert np.array_equal(v2_intensity(tf.A_tilde, tf.B_tilde, tf.C_tilde, J), np.zeros((2, 2)))
+    assert np.array_equal(_v2_intensity(tf.A_tilde, tf.B_tilde, tf.C_tilde, J), np.zeros((2, 2)))
 
 
 class TestSkewRiccatiTransform:

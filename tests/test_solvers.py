@@ -17,7 +17,7 @@ from qobs import (
     solve_lyapunov,
     stable_subspace,
 )
-from qobs.solvers import solve_care_stack, solve_lyapunov_stack
+from qobs.solvers import _solve_care_stack, _solve_lyapunov_stack
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -113,7 +113,7 @@ class TestSolveCareStack:
             Bn, Dn = rng.normal(size=(n, n + p)), rng.normal(size=(p, n + p))
             V1, V12 = Bn @ Bn.T, Bn @ Dn.T
             V2 = np.stack([Dn @ Dn.T + r * r * np.eye(p) for r in (0.01, 0.3, 1.0, 10.0)])
-            K, A_hat, ok = solve_care_stack(A, C, V1, V12, V2)
+            K, A_hat, ok = _solve_care_stack(A, C, V1, V12, V2)
             assert ok.all()
             for k in range(len(V2)):
                 kd = solve_care(A, C, V1, V12, V2[k])
@@ -126,7 +126,7 @@ class TestSolveCareStack:
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.eye(2))
         V2 = np.stack([np.eye(2), 4.0 * np.eye(2)])
-        _, _, ok = solve_care_stack(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
+        _, _, ok = _solve_care_stack(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
         assert not ok.any()
 
 
@@ -140,7 +140,7 @@ class TestSolveLyapunovStack:
             A = M - shift[:, None, None] * np.eye(n)
             G = rng.normal(size=(m, n, n))
             N = G @ np.swapaxes(G, -1, -2)
-            P = solve_lyapunov_stack(A, N)
+            P = _solve_lyapunov_stack(A, N)
             for k in range(m):
                 assert_allclose(P[k], solve_lyapunov(A[k], N[k]), rtol=1e-10, atol=1e-12)
 

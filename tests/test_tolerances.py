@@ -22,6 +22,7 @@ TABLE = {
     "SIGN_RTOL": 1e-12,
     "SIGN_COND_MAX": 1e4,
     "SIGN_MAX_ITER": 50,
+    "GRID_RTOL": 1e-8,
 }
 
 
