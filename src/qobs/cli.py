@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, FileFormatError, QobsError
+from .errors import DomainError, FileFormatError, QobsError, single_outcome
 from .observers import ClassicalObserver
 from .realizability import min_vacuum_rank, skew_riccati_transform, stilde
 from .sweep import (
     ALGORITHMS,
-    DESIGNERS,
     SCENARIOS,
     ScenarioConfig,
+    _design_stack,
     default_kn_grid,
     emit_csv,
     emit_plot_data,
@@ -156,7 +156,7 @@ def _matrix(M: np.ndarray) -> list:
 
 def _cmd_design(args) -> int:
     plant = load_system(args.plant)
-    obs = DESIGNERS[args.algorithm](plant)
+    obs = single_outcome(_design_stack([args.algorithm], [plant])[args.algorithm])
     if isinstance(obs, ClassicalObserver):
         A, B, C = obs.A_hat, obs.K, np.eye(plant.n_x)
         extra = {"provenance": {"algorithm": "classical"}, "K": _matrix(obs.K)}

@@ -5,6 +5,11 @@ transformation-based observer designer, which must report why it reverted to
 the augmentation-based design) can branch on the reason without string
 matching. ``reason_code`` gives a short stable identifier for logs and CSV
 rows.
+
+A stack routine, which solves many problems in one call, raises none of
+these: it returns one outcome per slice, the slice's result or the typed
+error the call on that slice alone would raise. :func:`single_outcome` and
+:func:`on_successes` handle such lists.
 """
 
 
@@ -58,3 +63,24 @@ class NonRealT(QobsError):
 
 class SingularResolvent(QobsError):
     """A frequency sample coincides with a pole of one of the systems."""
+
+
+def single_outcome(outcomes: list):
+    """The result of a stack of one, or the typed error of its slice raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def on_successes(outcomes: list, stack_routine) -> list:
+    """``outcomes`` with each result replaced by the output ``stack_routine`` gives it; errors stay in place.
+
+    ``stack_routine`` takes the indices of the results in ``outcomes`` and
+    returns one output, or one typed error, per index, all in one call.
+    """
+    done = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    mapped = list(outcomes)
+    for k, output in zip(done, stack_routine(done) if done else ()):
+        mapped[k] = output
+    return mapped

@@ -20,6 +20,17 @@ physically realizable:
   heterodyne detection adds one unit of vacuum noise to the output, and the
   filter runs on that record.
 
+Each designer runs on a list of same-shape plants at once
+(:func:`_design_alg1`, :func:`_design_alg2`, :func:`_design_alg3`,
+:func:`_design_classical`), given their ``rho = 0`` filters, so one stacked
+solve serves alg1, alg2 and alg3; it returns one outcome per plant, the
+design or its typed error. The public designers run the stack of one. The
+reference path is stacked too: :func:`_kalman_step` is one
+:func:`solve_care` call, :func:`_augmented_designs` one
+:func:`augment_noise` call and :func:`evaluate_performance` one Lyapunov
+stack, and alg2 takes its steps on all plants in lockstep, one reference
+call per step over the plants that are still in it.
+
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
 """
@@ -32,9 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, QobsError
+from .errors import DomainError, QobsError, on_successes, single_outcome
 from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
-from .solvers import KalmanDesign, _solve_care_stack, _solve_lyapunov_stack, solve_care, solve_lyapunov
+from .solvers import KalmanDesign, _not_hurwitz, _solve_care_stack, _solve_lyapunov_stack, solve_care
 from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
 
 logger = logging.getLogger(__name__)
@@ -121,41 +132,68 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _care_inputs(plant: QuantumLinearSystem, rho) -> tuple[np.ndarray, ...]:
-    """``(A, C, V1, V12, V2)`` of the Kalman filter against measurement noise ``V2 + rho^2 I``.
+def _care_inputs(plants, rho) -> tuple[np.ndarray, ...]:
+    """``(A, C, V1, V12, V2)`` of the Kalman filters against measurement noise ``V2 + rho^2 I``.
 
-    For an array of ``rho`` the last is the stack of their ``V2``.
+    For one plant and one ``rho`` the matrices of its filter; for one plant
+    and an array of ``rho`` the same, with ``V2`` their stack. For a list of
+    same-shape plants, ``rho`` one number or one per plant, ``V2`` is a stack
+    with one slice per plant, and so are the others unless every slice is
+    the same plant.
     """
-    S_w = plant.ito.S
-    V2 = plant.D @ S_w @ plant.D.T + np.multiply.outer(rho * rho, np.eye(plant.n_y))
-    return plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2
+    if isinstance(plants, QuantumLinearSystem):
+        A, B, C, D, S_w = plants.A, plants.B, plants.C, plants.D, plants.ito.S
+    else:
+        rho = np.broadcast_to(rho, len(plants))
+        if all(plant is plants[0] for plant in plants):
+            A, B, C, D, S_w = plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
+        else:
+            A, B, C, D, S_w = (np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
+    B_t, D_t = B.swapaxes(-1, -2), D.swapaxes(-1, -2)
+    V2 = D @ S_w @ D_t + np.multiply.outer(rho * rho, np.eye(C.shape[-2]))
+    return A, C, B @ S_w @ B_t, B @ S_w @ D_t, V2
 
 
-def _kalman_step(plant: QuantumLinearSystem, rho: float) -> KalmanDesign:
-    """The plant's Kalman filter designed against measurement noise ``V2 + rho^2 I``."""
-    return solve_care(*_care_inputs(plant, rho))
+def _kalman_step(plants, rho) -> KalmanDesign | list:
+    """The plants' Kalman filters designed against measurement noise ``V2 + rho^2 I``, in one :func:`solve_care` call.
+
+    For one plant its :class:`KalmanDesign`; for a list of plants (``rho``
+    one number, or one per plant) the list of outcomes of
+    :func:`solve_care`.
+    """
+    return solve_care(*_care_inputs(plants, rho))
 
 
-def _augmented_design(
-    plant: QuantumLinearSystem, kd: KalmanDesign, provenance: Provenance
-) -> CoherentObserver:
-    """The filter ``kd`` made quantum by minimal vacuum-noise augmentation."""
-    C_hat = np.eye(plant.n_x)
-    aug = augment_noise(kd.A_hat, kd.K, C_hat, plant.theta)
-    return CoherentObserver(
-        A_hat=kd.A_hat,
-        B_hat=kd.K,
-        C_hat=C_hat,
-        B_v1=aug.B_v1,
-        B_v2=aug.B_v2,
-        provenance=provenance,
-        design=kd,
-    )
+def _augmented_designs(plants: Sequence[QuantumLinearSystem], filters: list, provenances: Sequence[Provenance]) -> list:
+    """Each filter made quantum by minimal vacuum-noise augmentation, in one :func:`augment_noise` call.
+
+    ``filters`` holds one :func:`_kalman_step` outcome per plant; an error
+    in place of a filter stays in place of its observer.
+    """
+
+    def augment(done: list[int]) -> list[CoherentObserver]:
+        C_hat = np.eye(plants[0].n_x)
+        kds = [filters[k] for k in done]
+        augs = augment_noise(np.stack([kd.A_hat for kd in kds]), np.stack([kd.K for kd in kds]), C_hat, plants[0].theta)
+        return [
+            CoherentObserver(
+                A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=aug.B_v1, B_v2=aug.B_v2,
+                provenance=provenances[k], design=kd,
+            )
+            for k, kd, aug in zip(done, kds, augs)
+        ]
+
+    return on_successes(filters, augment)
+
+
+def _design_alg1(plants: Sequence[QuantumLinearSystem], filters: list) -> list:
+    """:func:`design_algorithm1` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant."""
+    return _augmented_designs(plants, filters, [Provenance("alg1")] * len(plants))
 
 
 def design_algorithm1(plant: QuantumLinearSystem) -> CoherentObserver:
     """Kalman filter made quantum by minimal vacuum-noise augmentation."""
-    return _augmented_design(plant, _kalman_step(plant, 0.0), Provenance("alg1"))
+    return single_outcome(_design_alg1([plant], _kalman_step([plant], 0.0)))
 
 
 def default_rho_grid() -> np.ndarray:
@@ -189,6 +227,137 @@ def _grid_traces(plant: QuantumLinearSystem, rhos: Sequence[float]) -> np.ndarra
     return traces
 
 
+def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candidates: Sequence[float] | None) -> list:
+    """:func:`design_algorithm2` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
+
+    Every plant takes the steps of :func:`design_algorithm2` on its own
+    data, and the plants take each step in lockstep: each reference-path
+    round (``rho = 0`` and the candidates the batch could not score, each
+    round of near-tie re-scoring, each golden-section iteration) is one
+    stacked design and one stacked :func:`evaluate_performance` over the
+    points still in it. Each plant's set of reference-scored ``rho`` is the
+    one the plant gets alone: where ``c`` fails in a golden-section
+    iteration, the plant's ``d`` of that iteration is not kept.
+    """
+    if rho_candidates is None:
+        rho_candidates = default_rho_grid()
+    candidates = sorted({float(r) for r in rho_candidates})
+    if not candidates:
+        raise DomainError("rho candidate list must be non-empty")
+    if not all(np.isfinite(rho * rho) for rho in candidates):
+        raise DomainError("rho candidates must be finite, with finite squares")
+    if candidates[0] != 0.0:
+        raise DomainError("rho candidate list must include 0")
+
+    m = len(plants)
+    scored: list[dict[float, tuple[float, CoherentObserver]]] = [{} for _ in range(m)]  # the reference path's
+    skipped: list[list[tuple[float, str]]] = [[] for _ in range(m)]
+
+    def score(items: list[tuple[int, float]]) -> list:
+        """``(trace, observer)`` of each ``(plant, rho)`` design through the reference path, or its error."""
+        kds = [filters[i] if rho == 0.0 else None for i, rho in items]
+        inflated = [k for k, (_, rho) in enumerate(items) if rho != 0.0]
+        if inflated:
+            rhos = np.array([items[k][1] for k in inflated])
+            for k, kd in zip(inflated, _kalman_step([plants[items[k][0]] for k in inflated], rhos)):
+                kds[k] = kd
+        group = [plants[i] for i, _ in items]
+        designs = _augmented_designs(group, kds, [Provenance("alg2", rho=rho) for _, rho in items])
+        reports = on_successes(
+            designs, lambda done: evaluate_performance([group[k] for k in done], [designs[k] for k in done])
+        )
+        return on_successes(reports, lambda done: [(reports[k].trace, designs[k]) for k in done])
+
+    def reference(items: list[tuple[int, float]]) -> list[float | None]:
+        """:func:`score` kept for each item, or ``None`` with the reason recorded where the design fails."""
+        traces = []
+        for (i, rho), outcome in zip(items, score(items)):
+            if isinstance(outcome, QobsError):
+                logger.debug("skipping rho=%g: %s: %s", rho, outcome.reason_code, outcome)
+                skipped[i].append((rho, f"{outcome.reason_code}: {outcome}"))
+                traces.append(None)
+            else:
+                scored[i][rho] = outcome
+                traces.append(outcome[0])
+        return traces
+
+    # each grid: the batch's traces, and the reference path's where the batch has none
+    batches = [[np.nan, *(_grid_traces(plant, candidates[1:]) if len(candidates) > 1 else [])] for plant in plants]
+    items = [(i, rho) for i in range(m) for rho, trace in zip(candidates, batches[i]) if np.isnan(trace)]
+    traces = dict(zip(items, reference(items)))
+    grids: list[dict[float, float]] = [{} for _ in range(m)]  # the candidates that scored, ascending
+    for i in range(m):
+        for rho, trace in zip(candidates, batches[i]):
+            trace = traces[i, rho] if np.isnan(trace) else float(trace)
+            if trace is not None:
+                grids[i][rho] = trace
+    # the bracket is formed around a reference-scored minimizer: re-score
+    # every batch trace that might, within its error, lie below it
+    best: list[float | None] = [None] * m
+    live = [i for i in range(m) if grids[i]]
+    while live:
+        items = []
+        for i in live:
+            grid = grids[i]
+            best[i] = min(grid, key=grid.get)
+            bound = grid[best[i]] + GRID_RTOL * abs(grid[best[i]])
+            items += [(i, rho) for rho, trace in grid.items() if trace <= bound and rho not in scored[i]]
+        for (i, rho), trace in zip(items, reference(items)):
+            if trace is None:
+                del grids[i][rho]
+            else:
+                grids[i][rho] = trace
+        live = sorted({i for i, _ in items if grids[i]})
+
+    # one golden-section pass around each bracket, 20 iterations in lockstep
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    brackets = {}
+    for i in range(m):
+        if not grids[i]:
+            continue
+        ordered = list(grids[i])
+        j = ordered.index(best[i])
+        a, b = ordered[max(j - 1, 0)], ordered[min(j + 1, len(ordered) - 1)]
+        if b > a:
+            brackets[i] = (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
+    for _ in range(20):
+        if not brackets:
+            break
+        items = [
+            (i, rho) for i, (_, _, c, d) in brackets.items() for rho in dict.fromkeys((c, d)) if rho not in scored[i]
+        ]
+        outcomes = dict(zip(items, score(items)))
+        for i, (a, b, c, d) in list(brackets.items()):
+            # kept as if c were scored first and d only after c succeeded
+            for rho in (c, d):
+                outcome = outcomes.get((i, rho))
+                if isinstance(outcome, QobsError):
+                    del brackets[i]
+                    break
+                if outcome is not None:
+                    scored[i][rho] = outcome
+            if i not in brackets:
+                continue
+            if scored[i][c][0] < scored[i][d][0]:
+                b, d = d, c
+                c = b - inv_phi * (b - a)
+            else:
+                a, c = c, d
+                d = a + inv_phi * (b - a)
+            brackets[i] = (a, b, c, d)
+
+    results: list = []
+    for i in range(m):
+        if not grids[i]:
+            reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped[i])
+            results.append(DomainError(f"every rho candidate failed ({reasons})"))
+            continue
+        rho_opt = min(sorted(scored[i]), key=lambda rho: scored[i][rho][0])
+        curve = sorted({**grids[i], **{rho: trace for rho, (trace, _) in scored[i].items()}}.items())
+        results.append((scored[i][rho_opt][1], rho_opt, curve))
+    return results
+
+
 def design_algorithm2(
     plant: QuantumLinearSystem,
     rho_candidates: Sequence[float] | None = None,
@@ -212,87 +381,44 @@ def design_algorithm2(
     grid minimizer wherever the batch traces are within ``GRID_RTOL`` of
     the reference ones. ``rho_opt`` is the best reference-scored value, so
     the alg2 trace is at most the alg1 trace bit for bit. Each distinct
-    ``rho`` is scored once.
+    ``rho`` is scored once. The plant is the stack of one of
+    :func:`_design_alg2`, which designs many plants in lockstep.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding one
     ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``; the traces of
     batch-scored grid candidates carry the tolerance of :func:`_grid_traces`.
     """
-    if rho_candidates is None:
-        rho_candidates = default_rho_grid()
-    candidates = sorted({float(r) for r in rho_candidates})
-    if not candidates:
-        raise DomainError("rho candidate list must be non-empty")
-    if not all(np.isfinite(rho * rho) for rho in candidates):
-        raise DomainError("rho candidates must be finite, with finite squares")
-    if candidates[0] != 0.0:
-        raise DomainError("rho candidate list must include 0")
+    return single_outcome(_design_alg2([plant], _kalman_step([plant], 0.0), rho_candidates))
 
-    scored: dict[float, tuple[float, CoherentObserver]] = {}  # the reference path's
-    skipped: list[tuple[float, str]] = []
 
-    def score(rho: float) -> float:
-        """Trace of the ``rho`` design through the reference path, designed on first use."""
-        if rho not in scored:
-            obs = _augmented_design(plant, _kalman_step(plant, rho), Provenance("alg2", rho=rho))
-            scored[rho] = (evaluate_performance(plant, obs).trace, obs)
-        return scored[rho][0]
+def _design_alg3(plants: Sequence[QuantumLinearSystem], filters: list) -> list:
+    """:func:`design_algorithm3` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
 
-    def reference(rho: float) -> float | None:
-        """:func:`score`, or ``None`` with the reason recorded when the design fails."""
+    The transforms run plant by plant; the filters they fail for are
+    augmented in one :func:`_augmented_designs` call.
+    """
+    results = list(filters)
+    reasons: dict[int, str] = {}
+    for i, kd in enumerate(filters):
+        if isinstance(kd, QobsError):
+            continue
+        C_hat = np.eye(plants[i].n_x)
         try:
-            return score(rho)
+            tf = skew_riccati_transform(kd.A_hat, kd.K, C_hat, plants[i].theta)
         except QobsError as exc:
-            logger.debug("skipping rho=%g: %s: %s", rho, exc.reason_code, exc)
-            skipped.append((rho, f"{exc.reason_code}: {exc}"))
-            return None
-
-    batch = _grid_traces(plant, candidates[1:]) if len(candidates) > 1 else []
-    grid: dict[float, float] = {}  # the candidates that scored, ascending
-    for rho, batch_trace in zip(candidates, [np.nan, *batch]):
-        trace = reference(rho) if np.isnan(batch_trace) else float(batch_trace)
-        if trace is not None:
-            grid[rho] = trace
-    # the bracket is formed around a reference-scored minimizer: re-score
-    # every batch trace that might, within its error, lie below it
-    while grid:
-        best = min(grid, key=grid.get)
-        bound = grid[best] + GRID_RTOL * abs(grid[best])
-        near = [rho for rho, trace in grid.items() if trace <= bound and rho not in scored]
-        if not near:
-            break
-        for rho in near:
-            trace = reference(rho)
-            if trace is None:
-                del grid[rho]
-            else:
-                grid[rho] = trace
-    if not grid:
-        reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped)
-        raise DomainError(f"every rho candidate failed ({reasons})")
-
-    ordered = list(grid)
-    i = ordered.index(best)
-    a, b = ordered[max(i - 1, 0)], ordered[min(i + 1, len(ordered) - 1)]
-    if b > a:
-        inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        for _ in range(20):
-            try:
-                fc, fd = score(c), score(d)
-            except QobsError:
-                break
-            if fc < fd:
-                b, d = d, c
-                c = b - inv_phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + inv_phi * (b - a)
-
-    rho_opt = min(sorted(scored), key=lambda rho: scored[rho][0])
-    curve = sorted({**grid, **{rho: trace for rho, (trace, _) in scored.items()}}.items())
-    return scored[rho_opt][1], rho_opt, curve
+            reasons[i] = exc.reason_code
+            continue
+        obs = CoherentObserver(
+            A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=tf.B_v1_tilde, B_v2=np.zeros((plants[i].n_x, 0)),
+            provenance=Provenance("alg3", transformed=True), design=kd, transform=tf,
+        )
+        results[i] = (obs, None)
+    fallback = list(reasons)
+    provenances = [Provenance("alg3", transformed=False, fallback_reason=reasons[i]) for i in fallback]
+    augmented = _augmented_designs([plants[i] for i in fallback], [filters[i] for i in fallback], provenances)
+    for i, obs in zip(fallback, augmented):
+        results[i] = (obs, reasons[i])
+    return results
 
 
 def design_algorithm3(
@@ -306,24 +432,22 @@ def design_algorithm3(
     failure that filter is augmented as in algorithm 1 and returned with the
     typed reason, which its provenance also records as ``fallback_reason``.
     """
-    kd = _kalman_step(plant, 0.0)
-    C_hat = np.eye(plant.n_x)
-    try:
-        tf = skew_riccati_transform(kd.A_hat, kd.K, C_hat, plant.theta)
-    except QobsError as exc:
-        provenance = Provenance("alg3", transformed=False, fallback_reason=exc.reason_code)
-        return _augmented_design(plant, kd, provenance), exc.reason_code
-    obs = CoherentObserver(
-        A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=tf.B_v1_tilde, B_v2=np.zeros((plant.n_x, 0)),
-        provenance=Provenance("alg3", transformed=True), design=kd, transform=tf,
-    )
-    return obs, None
+    return single_outcome(_design_alg3([plant], _kalman_step([plant], 0.0)))
+
+
+def _design_classical(plants: Sequence[QuantumLinearSystem]) -> list:
+    """:func:`design_classical` over same-shape plants, in one ``rho = 1`` Kalman solve: one outcome per plant."""
+    filters = _kalman_step(plants, 1.0)
+
+    def observers(done: list[int]) -> list[ClassicalObserver]:
+        return [ClassicalObserver(K=filters[k].K, A_hat=filters[k].A_hat, design=filters[k]) for k in done]
+
+    return on_successes(filters, observers)
 
 
 def design_classical(plant: QuantumLinearSystem) -> ClassicalObserver:
     """Kalman filter on the heterodyne record ``dy + dw_H``, whose vacuum ``w_H`` makes ``rho = 1``."""
-    kd = _kalman_step(plant, 1.0)
-    return ClassicalObserver(K=kd.K, A_hat=kd.A_hat, design=kd)
+    return single_outcome(_design_classical([plant]))
 
 
 def _plant_noise_gain(plant: QuantumLinearSystem, K: np.ndarray) -> np.ndarray:
@@ -358,17 +482,37 @@ def error_system(
     return observer.A_hat, B_e, S_joint
 
 
-def evaluate_performance(
-    plant: QuantumLinearSystem,
-    observer: CoherentObserver | ClassicalObserver,
-) -> PerformanceReport:
-    """Steady-state symmetrized error covariance of an observer on a plant."""
-    A_e, B_e, S_joint = error_system(plant, observer)
-    J_bar = solve_lyapunov(A_e, B_e @ S_joint @ B_e.T)
-    margin = -float(np.max(np.linalg.eigvals(A_e).real))
-    return PerformanceReport(
-        J_bar=J_bar,
-        trace=float(np.trace(J_bar)),
-        frobenius=float(np.linalg.norm(J_bar)),
-        hurwitz_margin=margin,
-    )
+def evaluate_performance(plant, observer) -> PerformanceReport | list:
+    """Steady-state symmetrized error covariance of an observer on a plant.
+
+    Raises :class:`NotHurwitz` when the error dynamics are not stable. The
+    eigenvalues of ``A_e`` are computed once, for that check and for the
+    Hurwitz margin.
+
+    ``plant`` and ``observer`` may be equal-length lists of same-shape
+    plants and their observers. The call then returns one outcome per pair,
+    the :class:`PerformanceReport` or the :class:`NotHurwitz` error, and
+    raises none; the Lyapunov equations are solved as one stack. A single
+    pair is the stack of one.
+    """
+    single = isinstance(plant, QuantumLinearSystem)
+    plants, observers = ([plant], [observer]) if single else (plant, observer)
+    systems = [error_system(p, obs) for p, obs in zip(plants, observers)]
+    A_e = np.stack([A for A, _, _ in systems])
+    eigvals = np.linalg.eigvals(A_e)
+    worst = eigvals.real.max(axis=-1)
+
+    def report(done: list[int]) -> list[PerformanceReport]:
+        N = np.stack([B_e @ S_joint @ B_e.T for _, B_e, S_joint in (systems[k] for k in done)])
+        return [
+            PerformanceReport(
+                J_bar=J_bar,
+                trace=float(np.trace(J_bar)),
+                frobenius=float(np.linalg.norm(J_bar)),
+                hurwitz_margin=-float(worst[k]),
+            )
+            for k, J_bar in zip(done, _solve_lyapunov_stack(A_e[done], N))
+        ]
+
+    outcomes = on_successes(_not_hurwitz(eigvals), report)
+    return single_outcome(outcomes) if single else outcomes

@@ -86,10 +86,12 @@ def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, ...]:
     F, B, M, H = _skew_coefficients(A_hat, B_hat, C_hat)
     theta = np.asarray(theta, dtype=float)
     S_t = riccati_residual(F, B, M, H, theta)
-    terms = np.broadcast_arrays(theta @ B @ M @ np.swapaxes(B, -1, -2) @ theta, F, H)
-    norms = np.linalg.norm(np.stack(terms), 2, axis=(-2, -1))
+    # the 2-norms, each the largest singular value of its term
+    norm_G, norm_F, norm_H = (
+        np.linalg.svd(T, compute_uv=False)[..., :1] for T in (theta @ B @ M @ B.swapaxes(-1, -2) @ theta, F, H)
+    )
     eigvals, eigvecs = np.linalg.eigh(0.25j * S_t)
-    keep = eigvals > np.expand_dims(RANK_RTOL * (norms[0] + 2.0 * norms[1] + norms[2]) / 4.0, -1)
+    keep = eigvals > RANK_RTOL * (norm_G + 2.0 * norm_F + norm_H) / 4.0
     return S_t, eigvals, eigvecs, keep
 
 
@@ -104,16 +106,12 @@ def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, the
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        big = np.abs(col)
-        significant = np.flatnonzero(big > PIVOT_RTOL * np.max(big, initial=0.0))
-        if significant.size:
-            pivot = col[significant[0]]
-            V[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return V
+    """Rotate each column so its first significant entry is real positive; ``V`` may be a stack."""
+    big = np.abs(V)
+    significant = big > PIVOT_RTOL * big.max(axis=-2, initial=0.0, keepdims=True)
+    pivot = np.take_along_axis(V, significant.argmax(axis=-2)[..., None, :], axis=-2)
+    size = np.abs(pivot)
+    return np.where(size > 0.0, V * (np.conj(pivot) / np.where(size > 0.0, size, 1.0)), V)
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ class AugmentResult:
 
 def augment_noise(
     A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray
-) -> AugmentResult:
+) -> AugmentResult | list[AugmentResult]:
     """Minimal vacuum-noise augmentation of a filter.
 
     Factorizes the positive part of the Hermitian matrix ``i/4`` times the
@@ -146,16 +144,28 @@ def augment_noise(
     ``B_v1`` that of ``C_hat``. ``B_v2`` is unique only up to a
     symplectic-orthogonal right factor; its invariants ``B_v2 B_v2^T`` and
     ``B_v2 diag(J) B_v2^T`` are what the construction guarantees.
+
+    ``A_hat`` and ``B_hat`` may be stacks of filters; the call then returns
+    one :class:`AugmentResult` per slice. The slices are grouped by their
+    ``n_v2``, and each group is factorized at once. A single filter is the
+    stack of one.
     """
-    theta = np.asarray(theta, dtype=float)
-    S_t, eigvals, eigvecs, keep = _defect_spectrum(A_hat, B_hat, C_hat, theta)
-    eigvals, eigvecs = eigvals[keep][::-1], eigvecs[:, keep][:, ::-1]
-    if eigvals.size == 0:
-        B_v2 = np.zeros((theta.shape[0], 0))
-    else:
-        W = np.sqrt(2.0 * eigvals)[:, None] * _fix_column_phases(eigvecs).conj().T
-        B_v2 = field_gain(theta, quadrature_readout(W))
-    return AugmentResult(S_tilde=S_t, B_v1=field_gain(theta, np.asarray(C_hat, dtype=float)), B_v2=B_v2)
+    A_hat, B_hat, C_hat, theta = (np.asarray(M, dtype=float) for M in (A_hat, B_hat, C_hat, theta))
+    single = A_hat.ndim == B_hat.ndim == 2
+    stacks = (M if M.ndim == 3 else M[None] for M in (A_hat, B_hat))
+    S_t, eigvals, eigvecs, keep = _defect_spectrum(*stacks, C_hat, theta)
+    counts = np.count_nonzero(keep, axis=-1)
+    B_v2: list = [np.zeros((theta.shape[0], 0))] * len(counts)
+    for count in sorted(set(counts.tolist()) - {0}):
+        group = np.flatnonzero(counts == count)
+        top = (group, Ellipsis, slice(None, -count - 1, -1))  # the kept eigenvalues, descending
+        V = _fix_column_phases(eigvecs[top])
+        W = np.sqrt(2.0 * eigvals[top])[..., None] * V.conj().swapaxes(-1, -2)
+        for i, G in zip(group, field_gain(theta, quadrature_readout(W))):
+            B_v2[i] = G
+    B_v1 = field_gain(theta, C_hat)
+    results = [AugmentResult(S_tilde=S, B_v1=B_v1, B_v2=G) for S, G in zip(S_t, B_v2)]
+    return results[0] if single else results
 
 
 def _v2_intensity(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -9,15 +9,21 @@ Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
 1979). A fixed-step integrator for the covariance flow serves as an
 independent cross-check of the Lyapunov route.
 
-:func:`_solve_care_stack` and :func:`_solve_lyapunov_stack` solve a stack
-of filter CAREs and Lyapunov equations in one batched pass, for scoring many
-candidate filters at once; :func:`solve_lyapunov` is the stack routine on a
-stack of one. For the CAREs the matrix sign function with determinant scaling
-(Roberts, Int. J. Control 1980; Byers, Linear Algebra Appl. 1987) replaces
-the Schur decomposition, which cannot be batched. Each slice carries the
-Schur route's checks, and a slice that fails one is flagged for the caller to
-solve through :func:`solve_care`, so the stack routine decides no failure and
-raises none.
+The Schur route is a stack routine: :func:`solve_care` takes a stack of
+filter CAREs (one per plant, or per noise inflation) and returns one outcome
+per slice, the :class:`KalmanDesign` or the typed error that the slice alone
+raises; a single call is the stack of one. Only the Schur decomposition runs
+slice by slice (:func:`_stable_subspaces`); every other step is one batched
+numpy call, whose slices have the bytes they have alone, and every check
+runs per slice, so no slice makes the stack raise. :func:`solve_lyapunov` is
+likewise :func:`_solve_lyapunov_stack` on a stack of one.
+
+:func:`_solve_care_stack` scores many candidate filters of one plant at
+once for alg2's grid. There the matrix sign function with determinant
+scaling (Roberts, Int. J. Control 1980; Byers, Linear Algebra Appl. 1987)
+replaces the Schur decomposition. Each slice carries the Schur route's
+checks, and a slice that fails one is flagged for the caller to solve
+through :func:`solve_care`, so that routine decides no failure either.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import (
     QobsError,
     SingularX1,
     WrongSplitCount,
+    single_outcome,
 )
 from .systems import (
     CHECK_RTOL,
@@ -43,7 +50,7 @@ from .systems import (
     SIGN_COND_MAX,
     SIGN_MAX_ITER,
     SIGN_RTOL,
-    real_part_checked,
+    _nonreal_slices,
 )
 
 __all__ = [
@@ -64,7 +71,7 @@ KRON_CHUNK_BYTES = 1 << 19
 
 def _axis_tolerance(eigvals: np.ndarray) -> float | np.ndarray:
     """Distance from the imaginary axis that counts as on it; per slice for a stack of spectra."""
-    return EIG_SPLIT_RTOL * (1.0 + np.max(np.abs(eigvals), axis=-1, initial=0.0))
+    return EIG_SPLIT_RTOL * (1.0 + np.abs(eigvals).max(axis=-1, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,8 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthonormal basis of the invariant subspace for eigenvalues with negative
     real part, from one ordered complex Schur decomposition (robust under
     repeated eigenvalues, unlike raw eigenvectors) whose triangular factor
-    also gives the eigenvalues.
+    also gives the eigenvalues. The stack routine :func:`_stable_subspaces`
+    on a stack of one.
 
     Raises :class:`ImaginaryAxisEigenvalue` if any eigenvalue is within
     tolerance of the imaginary axis, and :class:`WrongSplitCount` if the
@@ -98,18 +106,45 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.shape[0] % 2:
         raise DomainError(f"expected a square even-dimensioned matrix, got {Z.shape}")
-    n = Z.shape[0] // 2
-    T, U, sdim = scipy.linalg.schur(Z.astype(complex), output="complex", sort="lhp")
-    eigvals = np.diag(T)
+    X1, X2, (error,) = _stable_subspaces(Z[None])
+    if error is not None:
+        raise error
+    return X1[0], X2[0]
+
+
+def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """:func:`stable_subspace` for each slice of a stack: ``(X1, X2, errors)``.
+
+    The Schur decomposition runs slice by slice, the checks on the whole
+    stack. ``errors`` holds per slice ``None`` or what :func:`stable_subspace`
+    would raise (a ``LinAlgError`` or ``ValueError`` of the decomposition
+    included); the blocks of a failed slice are meaningless.
+    """
+    m, n = Z.shape[0], Z.shape[-1] // 2
+    Z = Z.astype(complex)
+    U = np.zeros_like(Z)
+    eigvals = np.zeros(Z.shape[:-1], dtype=complex)
+    sdim = [n] * m
+    errors: list = [None] * m
+    for i in range(m):
+        try:
+            T, U[i], sdim[i] = scipy.linalg.schur(Z[i], output="complex", sort="lhp")
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            errors[i] = exc
+            continue
+        eigvals[i] = T.diagonal()
     tol = _axis_tolerance(eigvals)
-    closest = np.min(np.abs(eigvals.real))
-    if closest <= tol:
-        raise ImaginaryAxisEigenvalue(
-            f"eigenvalue with |real part| = {closest:.3e} within tolerance {tol:.3e}"
-        )
-    if sdim != n:
-        raise WrongSplitCount(f"stable subspace has dimension {sdim}, expected {n}")
-    return U[:n, :n], U[n:, :n]
+    closest = np.abs(eigvals.real).min(axis=-1)
+    for i in range(m):
+        if errors[i] is not None:
+            continue
+        if closest[i] <= tol[i]:
+            errors[i] = ImaginaryAxisEigenvalue(
+                f"eigenvalue with |real part| = {closest[i]:.3e} within tolerance {tol[i]:.3e}"
+            )
+        elif sdim[i] != n:
+            errors[i] = WrongSplitCount(f"stable subspace has dimension {sdim[i]}, expected {n}")
+    return U[:, :n, :n], U[:, n:, :n], errors
 
 
 def riccati_solution(F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -119,12 +154,38 @@ def riccati_solution(F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray)
     ``[[F, -B M B^T], [-H, -F^T]]`` and returns ``X = X2 X1^-1``, so that
     ``F - B M B^T X`` is Hurwitz. Raises what :func:`stable_subspace` raises,
     :class:`SingularX1` when ``cond(X1)`` exceeds ``COND_MAX``, and
-    :class:`NonRealResult` when ``X`` is not real.
+    :class:`NonRealResult` when ``X`` is not real. The stack routine
+    :func:`_riccati_solutions` on a stack of one.
     """
-    X1, X2 = stable_subspace(np.block([[F, -B @ M @ B.T], [-H, -F.T]]))
-    if np.linalg.cond(X1) > COND_MAX:
-        raise SingularX1("upper block of the stable basis is singular")
-    return real_part_checked(X2 @ np.linalg.inv(X1))
+    X, (error,) = _riccati_solutions(*(np.asarray(C, dtype=float)[None] for C in (F, B, M, H)))
+    if error is not None:
+        raise error
+    return X[0]
+
+
+def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
+    """:func:`riccati_solution` for each slice of stacks of coefficients: ``(X, errors)``.
+
+    ``errors`` holds per slice ``None`` or what :func:`riccati_solution`
+    would raise; the ``X`` of a failed slice is meaningless.
+    """
+    G = B @ M @ B.swapaxes(-1, -2)
+    n = F.shape[-1]
+    Z = np.empty((max(len(F), len(G), len(H)), 2 * n, 2 * n))
+    Z[:, :n, :n], Z[:, :n, n:], Z[:, n:, :n], Z[:, n:, n:] = F, -G, -H, -F.swapaxes(-1, -2)
+    X1, X2, errors = _stable_subspaces(Z)
+    cond = np.linalg.cond(X1)
+    singular = [i for i, error in enumerate(errors) if error is not None or cond[i] > COND_MAX]
+    for i in singular:
+        if errors[i] is None:
+            errors[i] = SingularX1("upper block of the stable basis is singular")
+    if singular:
+        X1[singular] = np.eye(n)  # so that the other slices can be inverted
+    X = X2 @ np.linalg.inv(X1)
+    for i, error in enumerate(_nonreal_slices(X)):
+        if errors[i] is None:
+            errors[i] = error
+    return np.ascontiguousarray(X.real), errors
 
 
 def riccati_residual(
@@ -135,13 +196,18 @@ def riccati_residual(
 
 
 def _care_coefficients(A, C, V1, V12, V2_inv):
-    """``(F, B, M, H)`` of the filter CARE as :func:`riccati_solution` takes them; ``V2_inv`` may be a stack."""
-    return np.swapaxes(A - V12 @ V2_inv @ C, -1, -2), C.T, V2_inv, V1 - V12 @ V2_inv @ V12.T
+    """``(F, B, M, H)`` of the filter CARE as :func:`riccati_solution` takes them; any operand may be a stack."""
+    return (
+        (A - V12 @ V2_inv @ C).swapaxes(-1, -2),
+        C.swapaxes(-1, -2),
+        V2_inv,
+        V1 - V12 @ V2_inv @ V12.swapaxes(-1, -2),
+    )
 
 
 def solve_care(
     A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
-) -> KalmanDesign:
+) -> KalmanDesign | list:
     """Stabilizing solution of the steady-state filter Riccati equation.
 
     Solves ``Abar Q + Q Abar^T - Q C^T V2^-1 C Q + V1 - V12 V2^-1 V12^T = 0``
@@ -151,31 +217,68 @@ def solve_care(
     the one place that matrix is formed; the construction guarantees it is
     Hurwitz whenever it succeeds. Raises :class:`DomainError` when the
     measurement-noise intensity ``V2`` is not positive definite, or its
-    inverse or the coefficients built from it are not finite.
+    inverse or the coefficients built from it are not finite, and
+    :class:`NoStabilizingSolution` when the Riccati equation has no
+    stabilizing solution.
+
+    Any argument may be a stack of ``m`` equations, with a leading axis that
+    the others broadcast against. The call then returns a list of ``m``
+    outcomes, each the slice's :class:`KalmanDesign` or the typed error that
+    the call on that slice alone raises, and raises none itself. A single
+    call is the stack of one: only the Schur decomposition runs slice by
+    slice, and numpy's batched routines give each slice the bytes it has
+    alone.
     """
-    A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
+    args = [np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2)]
+    single = all(M.ndim == 2 for M in args)
+    A, C, V1, V12, V2 = (M if M.ndim == 3 else M[None] for M in args)
+    m = max(len(M) for M in (A, C, V1, V12, V2))
+    outcomes: list = [None] * m
     try:
         np.linalg.cholesky(V2)
     except np.linalg.LinAlgError:
-        raise DomainError("measurement-noise intensity V2 is not positive definite") from None
+        V2 = np.broadcast_to(V2, (m, *V2.shape[1:])).copy()
+        for i in range(m):
+            try:
+                np.linalg.cholesky(V2[i])
+            except np.linalg.LinAlgError:
+                outcomes[i] = DomainError("measurement-noise intensity V2 is not positive definite")
+                V2[i] = np.eye(V2.shape[-1])  # so that the other slices can be inverted
     V2_inv = np.linalg.inv(V2)
     coefficients = F, _, _, H = _care_coefficients(A, C, V1, V12, V2_inv)
     if not (np.isfinite(V2_inv).all() and np.isfinite(F).all() and np.isfinite(H).all()):
-        raise DomainError("measurement-noise intensity V2 is too near singular to invert in floating point")
-    try:
-        Q = riccati_solution(*coefficients)
-    except (QobsError, np.linalg.LinAlgError) as exc:
-        raise NoStabilizingSolution(f"{type(exc).__name__}: {exc}") from exc
-    Q = (Q + Q.T) / 2.0
-    K = (Q @ C.T + V12) @ V2_inv
-    A_hat = A - K @ C
-    poles = np.linalg.eigvals(A_hat)
-    if np.max(poles.real) >= 0.0:
-        raise NoStabilizingSolution(
-            f"filter pole with real part {np.max(poles.real):.3e} is not stable"
+        finite = np.isfinite(V2_inv).all(axis=(-2, -1)) & np.isfinite(F).all(axis=(-2, -1))
+        finite &= np.isfinite(H).all(axis=(-2, -1))
+        for i in np.flatnonzero(~np.broadcast_to(finite, (m,))):
+            outcomes[i] = outcomes[i] or DomainError(
+                "measurement-noise intensity V2 is too near singular to invert in floating point"
+            )
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return single_outcome(outcomes) if single else outcomes
+    if len(live) < m:
+        A, C, V12, V2_inv, *coefficients = (
+            np.broadcast_to(X, (m, *X.shape[1:]))[live] for X in (A, C, V12, V2_inv, *coefficients)
         )
-    res = float(np.linalg.norm(riccati_residual(*coefficients, Q)))
-    return KalmanDesign(Q=Q, K=K, A_hat=A_hat, residual_norm=res)
+    Q, riccati_errors = _riccati_solutions(*coefficients)
+    Q = (Q + Q.swapaxes(-1, -2)) / 2.0
+    K = (Q @ C.swapaxes(-1, -2) + V12) @ V2_inv
+    A_hat = A - K @ C
+    finite = np.isfinite(A_hat).all(axis=(-2, -1))
+    worst = np.full(len(live), np.nan)  # a non-finite filter matrix is not stable either
+    worst[finite] = np.linalg.eigvals(A_hat[finite]).real.max(axis=-1)
+    residual = riccati_residual(*coefficients, Q)
+    for j, i in enumerate(live):
+        exc = riccati_errors[j]
+        if exc is not None:
+            outcomes[i] = NoStabilizingSolution(f"{type(exc).__name__}: {exc}")
+            outcomes[i].__cause__ = exc
+        elif not worst[j] < 0.0:
+            outcomes[i] = NoStabilizingSolution(f"filter pole with real part {worst[j]:.3e} is not stable")
+        else:
+            res = float(np.linalg.norm(residual[j]))
+            outcomes[i] = KalmanDesign(Q=Q[j], K=K[j], A_hat=A_hat[j], residual_norm=res)
+    return single_outcome(outcomes) if single else outcomes
 
 
 def _sign_stack(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,19 +387,28 @@ def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
 
     Desk-scale method: the equation is vectorized into a dense linear system
     (at most 256 unknowns for the dimensions this package handles), the one
-    of :func:`_solve_lyapunov_stack` for a stack of one.
+    of :func:`_solve_lyapunov_stack` for a stack of one. Raises
+    :class:`NotHurwitz` as :func:`_not_hurwitz` decides it.
     """
     A_e = np.asarray(A_e, dtype=float)
     N = np.asarray(N, dtype=float)
     n = A_e.shape[0]
     if A_e.shape != (n, n) or N.shape != (n, n):
         raise DomainError(f"shape mismatch: {A_e.shape} vs {N.shape}")
-    eigvals = np.linalg.eigvals(A_e)
-    tol = _axis_tolerance(eigvals)
-    worst = np.max(eigvals.real)
-    if worst >= -tol:
-        raise NotHurwitz(f"eigenvalue real part {worst:.3e} is not below -{tol:.3e}")
+    (error,) = _not_hurwitz(np.linalg.eigvals(A_e[None]))
+    if error is not None:
+        raise error
     return _solve_lyapunov_stack(A_e[None], N[None])[0]
+
+
+def _not_hurwitz(eigvals: np.ndarray) -> list:
+    """Per spectrum of a stack: ``None``, or :class:`NotHurwitz` if an eigenvalue is not left of the axis tolerance."""
+    tol = _axis_tolerance(eigvals)
+    worst = eigvals.real.max(axis=-1)
+    return [
+        NotHurwitz(f"eigenvalue real part {w:.3e} is not below -{t:.3e}") if w >= -t else None
+        for w, t in zip(worst, tol)
+    ]
 
 
 def _solve_lyapunov_stack(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Benchmark sweeps over thermal noise intensity for the cavity scenarios.
 
 A sweep designs every requested observer at each ``k_n`` grid point of a
-cavity plant and records the scalar performance summaries. Output is a plain
+cavity plant and records the scalar performance summaries. Each designer
+runs once over all the grid's plants as a stack (``DESIGNERS``), alg1, alg2
+and alg3 from one shared ``rho = 0`` Kalman solve, and the observers are
+scored in one stacked :func:`evaluate_performance` call per designer; the
+rows are bit for bit those of designing each point alone. Output is a plain
 CSV (plus optional two-column plot files per algorithm); repeated runs of the
 same configuration produce byte-identical data files.
 """
@@ -14,15 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, QobsError
+from .errors import DomainError, QobsError, on_successes
 from .observers import (
-    design_algorithm1,
-    design_algorithm2,
-    design_algorithm3,
-    design_classical,
+    _design_alg1,
+    _design_alg2,
+    _design_alg3,
+    _design_classical,
+    _kalman_step,
     evaluate_performance,
 )
-from .systems import make_cavity_plant
+from .systems import QuantumLinearSystem, make_cavity_plant
 
 __all__ = [
     "SCENARIOS",
@@ -41,15 +46,23 @@ __all__ = [
 #: mirror couplings (kappa1, kappa2) of the three named scenarios
 SCENARIOS = {"s1": (0.1, 0.1), "s2": (0.5, 0.01), "s3": (0.8, 0.01)}
 
-#: ``name -> designer(plant)`` returning the observer; the lambdas resolve
-#: the designers through this module's globals at call time, so a wrapper
-#: installed there is the one that runs
+#: ``name -> designer(plants, filters)``: the named designer over a list of
+#: same-shape plants, given their ``rho = 0`` Kalman filters, returning one
+#: observer or typed error per plant (see :func:`_design_stack`). The lambdas
+#: resolve the designers through this module's globals at call time, so a
+#: wrapper installed there is the one that runs.
 DESIGNERS = {
-    "alg1": lambda plant: design_algorithm1(plant),
-    "alg2": lambda plant: design_algorithm2(plant)[0],
-    "alg3": lambda plant: design_algorithm3(plant)[0],
-    "classical": lambda plant: design_classical(plant),
+    "alg1": lambda plants, filters: _design_alg1(plants, filters),
+    "alg2": lambda plants, filters: [_observer(out) for out in _design_alg2(plants, filters, None)],
+    "alg3": lambda plants, filters: [_observer(out) for out in _design_alg3(plants, filters)],
+    "classical": lambda plants, filters: _design_classical(plants),
 }
+
+
+def _observer(outcome):
+    """The observer of a designer's ``(observer, ...)`` tuple, or its error."""
+    return outcome if isinstance(outcome, QobsError) else outcome[0]
+
 
 ALGORITHMS = tuple(DESIGNERS)
 
@@ -144,27 +157,38 @@ _ROW_VALUES = {
 }
 
 
-def _sweep_point(config: ScenarioConfig, k_n: float) -> SweepRow:
-    row = SweepRow(k_n=k_n)
-    plant = make_cavity_plant(config.kappa1, config.kappa2, k_n)
-    for alg, design in DESIGNERS.items():
-        if alg not in config.algorithms:
-            continue
-        try:
-            obs = design(plant)
-            rep = evaluate_performance(plant, obs)
-        except QobsError as exc:
-            row.errors[alg] = f"{exc.reason_code}: {exc}"
-            continue
-        for f in fields(SweepRow):
-            if f.name.startswith(f"{alg}_"):
-                setattr(row, f.name, _ROW_VALUES[f.name[len(alg) + 1 :]](obs, rep))
-    return row
+def _design_stack(algorithms: Sequence[str], plants: Sequence[QuantumLinearSystem]) -> dict[str, list]:
+    """Each requested designer, in ``DESIGNERS`` order, over a list of same-shape plants.
+
+    Maps each name to one observer or typed error per plant. alg1, alg2
+    and alg3 share one stacked ``rho = 0`` Kalman solve, so each plant's
+    filter is solved once.
+    """
+    filters = _kalman_step(plants, 0.0) if set(algorithms) - {"classical"} else None
+    return {alg: DESIGNERS[alg](plants, filters) for alg in DESIGNERS if alg in algorithms}
 
 
 def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
-    """Design and score every requested observer at each grid point."""
-    return [_sweep_point(config, k_n) for k_n in config.kn_grid]
+    """Design and score every requested observer at each grid point.
+
+    Each designer runs once over all the grid's plants, and its observers
+    are scored in one :func:`evaluate_performance` call; a designer failure
+    at a point is recorded in that row's ``errors``.
+    """
+    plants = [make_cavity_plant(config.kappa1, config.kappa2, k_n) for k_n in config.kn_grid]
+    rows = [SweepRow(k_n=k_n) for k_n in config.kn_grid]
+    for alg, observers in _design_stack(config.algorithms, plants).items():
+        reports = on_successes(
+            observers, lambda done: evaluate_performance([plants[k] for k in done], [observers[k] for k in done])
+        )
+        for row, obs, rep in zip(rows, observers, reports):
+            if isinstance(rep, QobsError):
+                row.errors[alg] = f"{rep.reason_code}: {rep}"
+                continue
+            for f in fields(SweepRow):
+                if f.name.startswith(f"{alg}_"):
+                    setattr(row, f.name, _ROW_VALUES[f.name[len(alg) + 1 :]](obs, rep))
+    return rows
 
 
 def _cell(value) -> str:

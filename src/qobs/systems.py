@@ -82,13 +82,20 @@ def real_part_checked(M: np.ndarray) -> np.ndarray:
     round-off.
     """
     M = np.asarray(M)
-    scale = IMAG_RESIDUE_RTOL * (1.0 + np.max(np.abs(M), initial=0.0))
-    residue = np.max(np.abs(M.imag), initial=0.0)
-    if residue > scale:
-        raise NonRealResult(
-            f"imaginary residue {residue:.3e} exceeds allowance {scale:.3e}"
-        )
+    (error,) = _nonreal_slices(M[None])
+    if error is not None:
+        raise error
     return np.ascontiguousarray(M.real)
+
+
+def _nonreal_slices(M: np.ndarray) -> list:
+    """The check of :func:`real_part_checked` on each slice of a stack: ``None``, or its :class:`NonRealResult`."""
+    scale = IMAG_RESIDUE_RTOL * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
+    residue = np.abs(M.imag).max(axis=(-2, -1), initial=0.0)
+    return [
+        NonRealResult(f"imaginary residue {r:.3e} exceeds allowance {s:.3e}") if r > s else None
+        for r, s in zip(residue, scale)
+    ]
 
 
 def _frozen_array(M, dtype=float) -> np.ndarray:
@@ -179,8 +186,11 @@ def ito_structure(channels: Sequence[NoiseChannel]) -> ItoStructure:
 
 
 def quadrature_readout(Lam: np.ndarray) -> np.ndarray:
-    """Real read-out of a coupling matrix: rows ``2k, 2k+1`` are ``2 Re Lambda[k], 2 Im Lambda[k]``."""
-    return 2.0 * np.stack([Lam.real, Lam.imag], axis=1).reshape(-1, Lam.shape[1])
+    """Real read-out of a coupling matrix: rows ``2k, 2k+1`` are ``2 Re Lambda[k], 2 Im Lambda[k]``.
+
+    ``Lam`` may be a stack of coupling matrices.
+    """
+    return 2.0 * np.stack([Lam.real, Lam.imag], axis=-2).reshape(*Lam.shape[:-2], -1, Lam.shape[-1])
 
 
 def field_gain(theta: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -188,8 +198,9 @@ def field_gain(theta: np.ndarray, L: np.ndarray) -> np.ndarray:
 
     This pairing of each input with the output it feeds makes a linear quantum
     system physically realizable (James, Nurdin & Petersen, IEEE TAC 2008).
+    ``L`` may be a stack of read-outs.
     """
-    return theta @ L.T @ canonical_theta(L.shape[0] / 2)
+    return theta @ L.swapaxes(-1, -2) @ canonical_theta(L.shape[-2] / 2)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from qobs import (
     make_cavity_plant,
     min_vacuum_rank,
     realize_from_hamiltonian,
-    run_sweep,
-    scenario_config,
     skew_riccati_transform,
     solve_lyapunov,
     transfer_function_gap,
@@ -85,10 +83,10 @@ def test_criterion_2_transformation_existence_discontinuities():
     )
 
 
-def test_criterion_3_ordering_claims_on_default_grids():
+def test_criterion_3_ordering_claims_on_default_grids(default_sweeps):
     violations = []
     for name in ("s1", "s2", "s3"):
-        for row in run_sweep(scenario_config(name)):
+        for row in default_sweeps[name]:
             assert not row.errors, (name, row.k_n, row.errors)
             for alg, trace in (
                 ("alg1", row.alg1_trace),

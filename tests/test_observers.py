@@ -19,6 +19,7 @@ from qobs import (
     DomainError,
     HamiltonianCoupling,
     NoiseChannel,
+    QobsError,
     canonical_theta,
     commutation_residual,
     default_frequency_grid,
@@ -91,32 +92,38 @@ def assert_same_answer(batched, reference):
     assert sorted(curve_b) == sorted(curve_r)
 
 
+def slices(args):
+    """The argument tuple of each slice of a stack routine's call; a single call is one slice."""
+    args = [np.asarray(a) for a in args]
+    m = max((a.shape[0] for a in args if a.ndim == 3), default=None)
+    if m is None:
+        return [tuple(args)]
+    return [tuple(a[i] if a.ndim == 3 else a for a in args) for i in range(m)]
+
+
+def counting(monkeypatch, name):
+    """The argument tuples of the slices of every ``name`` call the designers make."""
+    calls = []
+    routine = getattr(qobs.observers, name)
+
+    def counted(*args):
+        calls.extend(slices(args))
+        return routine(*args)
+
+    monkeypatch.setattr(qobs.observers, name, counted)
+    return calls
+
+
 @pytest.fixture
 def care_calls(monkeypatch):
-    """The argument tuples of every ``solve_care`` call the designers make."""
-    calls = []
-    solve_care = qobs.observers.solve_care
-
-    def counting_solve_care(*args):
-        calls.append(args)
-        return solve_care(*args)
-
-    monkeypatch.setattr(qobs.observers, "solve_care", counting_solve_care)
-    return calls
+    """The argument tuples of every ``solve_care`` slice the designers solve."""
+    return counting(monkeypatch, "solve_care")
 
 
 @pytest.fixture
 def augment_calls(monkeypatch):
-    """The argument tuples of every ``augment_noise`` call the designers make."""
-    calls = []
-    augment_noise = qobs.observers.augment_noise
-
-    def counting_augment_noise(*args):
-        calls.append(args)
-        return augment_noise(*args)
-
-    monkeypatch.setattr(qobs.observers, "augment_noise", counting_augment_noise)
-    return calls
+    """The argument tuples of every ``augment_noise`` slice the designers augment."""
+    return counting(monkeypatch, "augment_noise")
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
@@ -126,7 +133,7 @@ def test_kalman_design_holds_the_filter_matrix(rho):
     kd = qobs.observers._kalman_step(plant, rho)
     assert kd.A_hat.tobytes() == (plant.A - kd.K @ plant.C).tobytes()
     provenance = qobs.observers.Provenance("alg2", rho=rho)
-    assert qobs.observers._augmented_design(plant, kd, provenance).A_hat is kd.A_hat
+    assert qobs.observers._augmented_designs([plant], [kd], [provenance])[0].A_hat is kd.A_hat
 
 
 @pytest.mark.parametrize("kn", [69.0, 70.0])  # alg3 transformed / fallback
@@ -554,3 +561,60 @@ class TestEvaluatePerformance:
             plant = make_cavity_plant(0.8, 0.01, kn)
             obs = designer(plant)
             assert np.max(np.linalg.eigvals(obs.A_hat).real) < 0.0
+
+
+def outcome_bytes(outcome):
+    """What a designer or an evaluation returns, as shapes, bytes and reprs; an error as its class, reason and message."""
+    if isinstance(outcome, QobsError):
+        return (type(outcome).__name__, outcome.reason_code, str(outcome))
+    if isinstance(outcome, tuple):
+        return [outcome_bytes(part) for part in outcome]
+    if dataclasses.is_dataclass(outcome):
+        return [(f.name, outcome_bytes(getattr(outcome, f.name))) for f in dataclasses.fields(outcome)]
+    if isinstance(outcome, np.ndarray):
+        return (outcome.shape, outcome.tobytes())
+    return repr(outcome)
+
+
+class TestStack:
+    def test_a_stack_equals_single_calls(self, perfbench_workloads):
+        # five same-stratum pool plants designed as one stack; the one with
+        # D = 0 has a singular V2, so its rho = 0 filter fails, and with it
+        # its alg1 and alg3 designs, while the other slices are unaffected
+        stratum = perfbench_workloads.STRATA.index((4, 2, 2))
+        plants = [perfbench_workloads.pool_plant(stratum, i) for i in range(5)]
+        plants[2] = dataclasses.replace(plants[2], D=np.zeros_like(plants[2].D))
+        filters = qobs.observers._kalman_step(plants, 0.0)
+        stacked = {
+            design_algorithm1: qobs.observers._design_alg1(plants, filters),
+            design_algorithm2: qobs.observers._design_alg2(plants, filters, None),
+            design_algorithm3: qobs.observers._design_alg3(plants, filters),
+            design_classical: qobs.observers._design_classical(plants),
+        }
+        failed = {}
+        for designer, outcomes in stacked.items():
+            for k, (plant, outcome) in enumerate(zip(plants, outcomes)):
+                try:
+                    single = designer(plant)
+                except QobsError as exc:
+                    single = exc
+                    failed[designer.__name__, k] = f"{exc.reason_code}: {exc}"
+                assert outcome_bytes(outcome) == outcome_bytes(single), (designer.__name__, k)
+        reason = "DomainError: measurement-noise intensity V2 is not positive definite"
+        assert failed == {("design_algorithm1", 2): reason, ("design_algorithm3", 2): reason}
+
+    def test_an_evaluation_stack_equals_single_calls(self, perfbench_workloads):
+        # one observer of the stack has unstable error dynamics
+        stratum = perfbench_workloads.STRATA.index((4, 2, 2))
+        plants = [perfbench_workloads.pool_plant(stratum, i) for i in range(4)]
+        observers = [design_algorithm1(plant) for plant in plants]
+        observers[1] = dataclasses.replace(observers[1], A_hat=-observers[1].A_hat)
+        reports = evaluate_performance(plants, observers)
+        for plant, obs, report in zip(plants, observers, reports):
+            try:
+                single = evaluate_performance(plant, obs)
+            except QobsError as exc:
+                single = exc
+            assert outcome_bytes(report) == outcome_bytes(single)
+        kinds = [type(report).__name__ for report in reports]
+        assert kinds == ["PerformanceReport", "NotHurwitz", "PerformanceReport", "PerformanceReport"]

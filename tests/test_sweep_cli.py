@@ -1,5 +1,6 @@
 """Sweep harness and command-line interface tests."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import qobs
 import qobs.sweep
@@ -17,8 +19,13 @@ from qobs import (
     DomainError,
     NotHurwitz,
     ScenarioConfig,
+    design_algorithm1,
+    design_algorithm2,
+    design_algorithm3,
+    design_classical,
     emit_csv,
     emit_plot_data,
+    evaluate_performance,
     make_cavity_plant,
     run_sweep,
     save_system,
@@ -33,6 +40,13 @@ CSV_HEADER = (
     "k_n,alg1_trace,alg1_frob,alg1_nv2,alg2_trace,alg2_frob,alg2_rho,"
     "alg3_trace,alg3_frob,alg3_nv2,alg3_transformed,classical_trace,classical_frob"
 )
+
+#: SHA-256 of the default-grid CSV of each scenario, recorded with numpy 2.4.6 and scipy 1.17.1
+DEFAULT_CSV_SHA256 = {
+    "s1": "38585da44fb7da3f892aaf096077a501f1b3dc934c972d76ea10cb1743d74643",
+    "s2": "3ea2265fc0a6c36791e21626f93ccba30f188b1dc8a530ad05fe5baab2ec2552",
+    "s3": "6b025fa3c3120ec8f6c720af6780cc9fa343afaa4497e89f86c877160955f791",
+}
 
 
 class TestScenarioConfig:
@@ -102,14 +116,17 @@ class TestRunSweep:
 
 
 def test_designer_failure_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path, capsys):
-    design_algorithm3 = qobs.sweep.design_algorithm3
+    # the stacked alg3 designer yields a typed error for one plant of the stack
+    design_alg3 = qobs.sweep._design_alg3
 
-    def failing_at_kn_one(plant):
-        if plant.channels[1].k_n == 1.0:
-            raise NotHurwitz("injected failure")
-        return design_algorithm3(plant)
+    def failing_at_kn_one(plants, filters):
+        outcomes = design_alg3(plants, filters)
+        return [
+            NotHurwitz("injected failure") if plant.channels[1].k_n == 1.0 else outcome
+            for plant, outcome in zip(plants, outcomes)
+        ]
 
-    monkeypatch.setattr(qobs.sweep, "design_algorithm3", failing_at_kn_one)
+    monkeypatch.setattr(qobs.sweep, "_design_alg3", failing_at_kn_one)
     rows = run_sweep(ScenarioConfig(0.1, 0.1, kn_grid=(0.5, 1.0)))
     assert rows[0].errors == {}
     assert rows[1].errors == {"alg3": "NotHurwitz: injected failure"}
@@ -124,6 +141,46 @@ def test_designer_failure_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_pat
     argv = ["sweep", "--kn-min", "0.5", "--kn-max", "1", "--kn-points", "2", "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out == f"wrote 2 rows to {out} (1 rows carry designer errors)\n"
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_CSV_SHA256))
+def test_default_grid_csv_bytes_are_pinned(scenario, default_sweeps, tmp_path):
+    out = tmp_path / f"{scenario}.csv"
+    emit_csv(default_sweeps[scenario], out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DEFAULT_CSV_SHA256[scenario], (
+        f"{scenario}: the default-grid CSV has SHA-256 {digest}; the pinned sum was recorded with"
+        f" numpy 2.4.6 and scipy 1.17.1, and this run has numpy {np.__version__} and scipy {scipy.__version__}"
+    )
+
+
+def single_call_row(scenario, k_n):
+    """The sweep row at ``k_n`` built from one public designer call per algorithm."""
+    plant = make_cavity_plant(*SCENARIOS[scenario], k_n)
+    row = qobs.sweep.SweepRow(k_n=k_n)
+    obs1 = design_algorithm1(plant)
+    obs2, rho, _ = design_algorithm2(plant)
+    obs3, reason = design_algorithm3(plant)
+    obsc = design_classical(plant)
+    for alg, obs in (("alg1", obs1), ("alg2", obs2), ("alg3", obs3), ("classical", obsc)):
+        rep = evaluate_performance(plant, obs)
+        setattr(row, f"{alg}_trace", rep.trace)
+        setattr(row, f"{alg}_frob", rep.frobenius)
+    row.alg1_nv2, row.alg2_rho, row.alg3_nv2 = obs1.n_v2, rho, obs3.n_v2
+    row.alg3_transformed, row.alg3_failure_reason = reason is None, reason
+    return row
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_sweep_rows_are_the_single_plant_designs(scenario):
+    # run_sweep designs all grid points as one stack per designer; every
+    # value equals the one of the public designers called on that point
+    # alone, here on every eighth default-grid point and the transitions
+    grid = tuple(sorted(set(default_kn_grid()[::8]) | {69.0, 70.0, 909.0, 910.0}))
+    rows = run_sweep(ScenarioConfig(*SCENARIOS[scenario], kn_grid=grid))
+    for row in rows:
+        expected = single_call_row(scenario, row.k_n)
+        assert repr(row) == repr(expected)
 
 
 class TestEmitCsv:
