@@ -38,7 +38,6 @@ from .errors import (
     ImaginaryAxisEigenvalue,
     NoStabilizingSolution,
     NotHurwitz,
-    QobsError,
     SingularX1,
     WrongSplitCount,
     single_outcome,
