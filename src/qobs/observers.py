@@ -144,7 +144,7 @@ def _care_inputs(plants, rho) -> tuple[np.ndarray, ...]:
     if isinstance(plants, QuantumLinearSystem):
         A, B, C, D, S_w = plants.A, plants.B, plants.C, plants.D, plants.ito.S
     else:
-        rho = np.broadcast_to(rho, len(plants))
+        rho = np.full(len(plants), rho)
         if all(plant is plants[0] for plant in plants):
             A, B, C, D, S_w = plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
         else:

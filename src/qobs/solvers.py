@@ -121,7 +121,7 @@ def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """
     m, n = Z.shape[0], Z.shape[-1] // 2
     Z = Z.astype(complex)
-    U = np.zeros_like(Z)
+    U = np.zeros(Z.shape, dtype=complex)
     eigvals = np.zeros(Z.shape[:-1], dtype=complex)
     sdim = [n] * m
     errors: list = [None] * m
