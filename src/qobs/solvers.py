@@ -6,8 +6,9 @@ Riccati equations of the package, the filter CARE behind every observer and
 the skew Riccati equation of the state transformation, go through
 :func:`riccati_solution`: the stable invariant subspace ``[X1; X2]`` of the
 Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
-1979). A fixed-step integrator for the covariance flow serves as an
-independent cross-check of the Lyapunov route.
+1979). A fixed-step RK4 integrator for the covariance flow, which composes
+its steps by powering the one-step map with matrix products alone, serves
+as an independent cross-check of the Lyapunov route.
 
 The Schur route is a stack routine: :func:`solve_care` takes a stack of
 filter CAREs (one per plant, or per noise inflation) and returns one outcome
@@ -444,30 +445,44 @@ def integrate_covariance(
 ) -> np.ndarray:
     """Integrate ``dP/dt = A_e P + P A_e^T + N`` from ``P0`` to ``t = horizon``.
 
-    Classic fixed-step fourth-order Runge-Kutta; the default step is
-    ``horizon / 20000``. Independent of :func:`solve_lyapunov`, so the two can
-    cross-validate each other. Divergence for unstable ``A_e`` is the caller's
-    business.
+    Classic fixed-step fourth-order Runge-Kutta: ``n_steps = round(horizon /
+    step)`` steps of ``h = horizon / n_steps``, by default ``step = horizon /
+    20000``. On ``p = vec(P)`` (column-major) one step is the fixed affine map
+    ``p -> R p + r``, with ``L = I (x) A_e + A_e (x) I``, ``S = I + hL/2 +
+    (hL)^2/6 + (hL)^3/24``, ``R = I + hL S`` and ``r = h S vec(N)``. The
+    ``n_steps`` steps are the power ``n_steps`` of ``[[R, r], [0, 1]]``, taken
+    by binary powering (about ``log2(n_steps)`` squarings) and applied to
+    ``[vec(P0); 1]``: the step loop's discretization, not the exact
+    exponential of the flow. It uses matrix products only, no linear solve, so
+    it stays independent of :func:`solve_lyapunov` and the two cross-validate
+    each other. Malformed or non-finite inputs raise :class:`DomainError`;
+    divergence from finite ones (unstable ``A_e``, or a step beyond RK4's
+    stability bound) is the caller's business.
     """
-    A_e = np.asarray(A_e, dtype=float)
-    N = np.asarray(N, dtype=float)
-    P = np.array(P0, dtype=float)
-    if horizon <= 0:
+    A_e, N, P0 = (np.asarray(M, dtype=float) for M in (A_e, N, P0))
+    n = A_e.shape[0] if A_e.ndim == 2 else -1
+    if any(M.shape != (n, n) or not np.isfinite(M).all() for M in (A_e, N, P0)):
+        raise DomainError(f"A_e, N, P0 must be finite n x n matrices, got {A_e.shape}, {N.shape}, {P0.shape}")
+    if not horizon > 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     if step is None:
         step = horizon / 20000.0
-    if not 0 < step < horizon:
-        raise DomainError(f"step must lie in (0, horizon), got {step}")
+    if not 0 < step < horizon or not np.isfinite(horizon / step):
+        raise DomainError(f"step must lie in (0, horizon) and give a finite step count, got {step} for {horizon}")
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
 
-    def flow(P):
-        return A_e @ P + P @ A_e.T + N
-
-    for _ in range(n_steps):
-        k1 = flow(P)
-        k2 = flow(P + 0.5 * h * k1)
-        k3 = flow(P + 0.5 * h * k2)
-        k4 = flow(P + h * k3)
-        P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return P
+    m = n * n
+    eye = np.eye(m)
+    hL = h * (np.kron(np.eye(n), A_e) + np.kron(A_e, np.eye(n)))
+    S = eye + hL @ (eye + hL @ (eye + hL / 4.0) / 3.0) / 2.0
+    r = h * S @ N.T.reshape(m, 1)  # vec(N), column-major
+    M = np.block([[eye + hL @ S, r], [np.zeros((1, m)), np.ones((1, 1))]])
+    v = np.append(P0.T.reshape(m), 1.0)
+    while True:
+        if n_steps & 1:
+            v = M @ v
+        n_steps >>= 1
+        if not n_steps:
+            return v[:m].reshape(n, n).T
+        M = M @ M

@@ -1,5 +1,7 @@
 """Solver tests: Riccati via stable subspace, Lyapunov, covariance integration."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,24 @@ from qobs import (
 from qobs.solvers import _solve_care_stack, _solve_lyapunov_stack
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def rk4_step_loop(A_e, N, P0, horizon, step):
+    """Reference for ``integrate_covariance``: the classic RK4 step loop its step-map powering replaces."""
+    P = np.array(P0, dtype=float)
+    n_steps = max(1, int(round(horizon / step)))
+    h = horizon / n_steps
+
+    def flow(P):
+        return A_e @ P + P @ A_e.T + N
+
+    for _ in range(n_steps):
+        k1 = flow(P)
+        k2 = flow(P + 0.5 * h * k1)
+        k3 = flow(P + 0.5 * h * k2)
+        k4 = flow(P + h * k3)
+        P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return P
 
 
 def cavity_noise_blocks(k1, k2, kn):
@@ -194,6 +214,68 @@ class TestIntegrateCovariance:
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             integrate_covariance(-np.eye(2), np.eye(2), np.zeros((2, 2)), horizon=1.0, step=2.0)
+
+    @pytest.mark.parametrize(
+        "A_e,N,P0,horizon,step",
+        [
+            (np.eye(2), np.eye(3), np.zeros((2, 2)), 1.0, None),
+            (np.eye(2), np.eye(2), np.zeros((3, 3)), 1.0, None),
+            (np.ones((2, 3)), np.eye(2), np.zeros((2, 2)), 1.0, None),
+            (np.ones(2), np.ones(2), np.ones(2), 1.0, None),
+            (np.full((2, 2), np.nan), np.eye(2), np.zeros((2, 2)), 1.0, None),
+            (-np.eye(2), np.full((2, 2), np.inf), np.zeros((2, 2)), 1.0, None),
+            (-np.eye(2), np.eye(2), np.full((2, 2), np.nan), 1.0, None),
+            (-np.eye(2), np.eye(2), np.zeros((2, 2)), np.nan, None),
+            (-np.eye(2), np.eye(2), np.zeros((2, 2)), np.inf, None),
+            (-np.eye(2), np.eye(2), np.zeros((2, 2)), 1.0, np.nan),
+            (-np.eye(2), np.eye(2), np.zeros((2, 2)), 1.0, 5e-324),
+            (-np.eye(2), np.eye(2), np.zeros((2, 2)), 1e308, 1e-10),
+        ],
+    )
+    def test_malformed_input_rejected(self, A_e, N, P0, horizon, step):
+        with pytest.raises(DomainError):
+            integrate_covariance(A_e, N, P0, horizon, step)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 1000])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_step_loop(self, n, n_steps):
+        rng = np.random.default_rng(100 * n + n_steps)
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+        G = rng.normal(size=(n, n))
+        N = G @ G.T
+        P0 = rng.normal(size=(n, n))  # not symmetric: the map acts on all of vec(P)
+        horizon = 5.0
+        step = horizon / (n_steps + 0.25)  # rounds to n_steps, and lies below horizon for n_steps = 1
+        ref = rk4_step_loop(A, N, P0, horizon, step)
+        out = integrate_covariance(A, N, P0, horizon, step)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_divergence_kept(self):
+        # A_e = a I gives L = 2a I, so every entry follows the scalar RK4 map
+        # p -> T4(x) p + h S(x) N with x = 2 a h; |T4(-3)| = 1.375 > 1 lies
+        # beyond RK4's stability bound (|x| about 2.785).
+        a, h, n_steps = -1.5, 1.0, 40
+        x = 2.0 * a * h
+        T4 = 1.0 + x + x**2 / 2.0 + x**3 / 6.0 + x**4 / 24.0
+        S = 1.0 + x / 2.0 + x**2 / 6.0 + x**3 / 24.0
+        N = np.array([[1.0, 0.5], [0.5, 2.0]])
+        P0 = np.array([[0.3, -1.0], [2.0, 0.7]])
+        expected = T4**n_steps * P0 + (T4**n_steps - 1.0) / (T4 - 1.0) * h * S * N
+        out = integrate_covariance(a * np.eye(2), N, P0, horizon=n_steps * h, step=h * 0.99)
+        assert np.abs(T4) > 1.0
+        assert_allclose(out, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("horizon,step", [(1.0, 1e-9), (200.0, 2e-7)])
+    def test_billion_steps_return_at_once(self, horizon, step):
+        # the relaxation of test_analytic_scalar_relaxation at 1e9 steps,
+        # which a step loop would take hours to walk through
+        A = -0.1 * np.eye(2)
+        N = 0.2 * np.eye(2)
+        start = time.perf_counter()
+        out = integrate_covariance(A, N, np.zeros((2, 2)), horizon, step)
+        assert time.perf_counter() - start < 1.0
+        assert_allclose(out, (1.0 - np.exp(-0.2 * horizon)) * np.eye(2), atol=1e-8)
 
 
 class TestStableSubspace:
