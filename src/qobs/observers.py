@@ -9,10 +9,11 @@ physically realizable:
 * :func:`design_algorithm1` (``rho = 0``) adds the minimal extra vacuum
   channels.
 * :func:`design_algorithm2` searches ``rho`` for the augmented filter that
-  performs best against the true plant. Its grid is scored in one batched
-  pass (:func:`_grid_traces`); the candidates that decide the answer go
-  through the per-candidate reference path, design and
-  :func:`evaluate_performance`, so the grid only steers the search.
+  performs best against the true plant. The grids of all the plants it
+  designs are scored in one batched pass (:func:`_grid_traces`); the
+  candidates that decide the answer go through the per-candidate reference
+  path, design and :func:`evaluate_performance`, so the grid only steers
+  the search.
 * :func:`design_algorithm3` (``rho = 0``) re-coordinates the algorithm-1
   filter so that no ``B_v2`` channels are needed at all, and augments that
   filter as algorithm 1 does only when the transformation does not exist.
@@ -29,7 +30,8 @@ reference path is stacked too: :func:`_kalman_step` is one
 :func:`solve_care` call, :func:`_augmented_designs` one
 :func:`augment_noise` call and :func:`evaluate_performance` one Lyapunov
 stack, and alg2 takes its steps on all plants in lockstep, one reference
-call per step over the plants that are still in it.
+call per step over the plants that are still in it. alg3 transforms all
+its filters in one stacked :func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, QobsError, on_successes, single_outcome
 from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
-from .solvers import KalmanDesign, _not_hurwitz, _solve_care_stack, _solve_lyapunov_stack, solve_care
+from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _not_hurwitz, _solve_care_stack, _solve_lyapunov_stack, solve_care
 from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
 
 logger = logging.getLogger(__name__)
@@ -132,23 +134,32 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _care_inputs(plants, rho) -> tuple[np.ndarray, ...]:
+def _plant_matrices(plants, repeats: int = 1) -> tuple[np.ndarray, ...]:
+    """``(A, B, C, D, S_w)`` of a list of same-shape plants, each plant repeated in ``repeats`` consecutive slices.
+
+    The matrices of the one plant, unstacked, if every entry is that plant.
+    """
+    if all(plant is plants[0] for plant in plants):
+        return plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
+    stacks = (np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
+    return tuple(stacks) if repeats == 1 else tuple(np.repeat(M, repeats, axis=0) for M in stacks)
+
+
+def _care_inputs(plants, rho, repeats: int = 1) -> tuple[np.ndarray, ...]:
     """``(A, C, V1, V12, V2)`` of the Kalman filters against measurement noise ``V2 + rho^2 I``.
 
     For one plant and one ``rho`` the matrices of its filter; for one plant
     and an array of ``rho`` the same, with ``V2`` their stack. For a list of
-    same-shape plants, ``rho`` one number or one per plant, ``V2`` is a stack
-    with one slice per plant, and so are the others unless every slice is
-    the same plant.
+    same-shape plants, each in ``repeats`` consecutive slices (see
+    :func:`_plant_matrices`) and ``rho`` one number or one per slice, ``V2``
+    is a stack with one slice per slice, and so are the others unless every
+    entry is the same plant.
     """
     if isinstance(plants, QuantumLinearSystem):
         A, B, C, D, S_w = plants.A, plants.B, plants.C, plants.D, plants.ito.S
     else:
-        rho = np.full(len(plants), rho)
-        if all(plant is plants[0] for plant in plants):
-            A, B, C, D, S_w = plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
-        else:
-            A, B, C, D, S_w = (np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
+        rho = np.full(len(plants) * repeats, rho)
+        A, B, C, D, S_w = _plant_matrices(plants, repeats)
     B_t, D_t = B.swapaxes(-1, -2), D.swapaxes(-1, -2)
     V2 = D @ S_w @ D_t + np.multiply.outer(rho * rho, np.eye(C.shape[-2]))
     return A, C, B @ S_w @ B_t, B @ S_w @ D_t, V2
@@ -201,30 +212,44 @@ def default_rho_grid() -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(-3.0, 2.0, 61)])
 
 
-def _grid_traces(plant: QuantumLinearSystem, rhos: Sequence[float]) -> np.ndarray:
-    """Trace of the alg2 design at each ``rho`` (all positive), scored in one batched pass.
+def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -> np.ndarray:
+    """Trace of the alg2 design of each plant at each ``rho`` (all positive), scored in one batched pass.
 
-    Scores what :func:`evaluate_performance` would give each candidate's
-    augmented filter, from its defect ``S_tilde`` alone: the error covariance
-    reads ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so
-    the noise intensity of :func:`error_system` is formed block by block. The
-    traces agree with the reference path's to round-off amplified by the
+    Returns one row per plant and one column per ``rho``. Scores what
+    :func:`evaluate_performance` would give each candidate's augmented
+    filter, from its defect ``S_tilde`` alone: the error covariance reads
+    ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so the
+    noise intensity of :func:`error_system` is formed block by block. All
+    ``(plant, rho)`` slices go through one :func:`_solve_care_stack`,
+    :func:`_v2_intensity` and :func:`_solve_lyapunov_stack` pass, in chunks
+    of whole plants of about 1 MB of working memory, so memory stays flat in
+    the number of plants; each slice has the bytes it has alone. The traces
+    agree with the reference path's to round-off amplified by the
     conditioning of the Riccati and Lyapunov equations, within ``GRID_RTOL``
     relative on the cavity and on perfbench's pool plants. NaN marks a
     candidate that failed a check of :func:`_solve_care_stack`; only the
     reference path can score it or say why it fails.
     """
     rhos = np.asarray(rhos, dtype=float)
-    K, A_hat, ok = _solve_care_stack(*_care_inputs(plant, rhos))
-    traces = np.full(rhos.shape, np.nan)
-    if ok.any():
-        K, A_hat = K[ok], A_hat[ok]
-        C_hat, theta = np.eye(plant.n_x), plant.theta
-        B_v1 = field_gain(theta, C_hat)
-        G = _plant_noise_gain(plant, K)
-        N = G @ plant.ito.S @ np.swapaxes(G, -1, -2) + B_v1 @ B_v1.T + _v2_intensity(A_hat, K, C_hat, theta)
-        traces[ok] = np.trace(_solve_lyapunov_stack(A_hat, N), axis1=-2, axis2=-1)
-    return traces
+    traces = np.full(len(plants) * len(rhos), np.nan)  # plant by plant
+    n = plants[0].n_x
+    C_hat, theta = np.eye(n), plants[0].theta
+    B_v1 = field_gain(theta, C_hat)
+    # a slice holds about ten arrays of its Hamiltonian's size at once; whole
+    # plants per chunk, so that about twice KRON_CHUNK_BYTES is live, as in
+    # _solve_lyapunov_stack
+    chunk = max(1, 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * n) ** 2 * len(rhos)))
+    for start in range(0, len(plants), chunk):
+        group = plants[start : start + chunk]
+        K, A_hat, ok = _solve_care_stack(*_care_inputs(group, np.tile(rhos, len(group)), len(rhos)))
+        if ok.any():
+            _, B, _, D, S_w = (M if M.ndim == 2 else M[ok] for M in _plant_matrices(group, len(rhos)))
+            K, A_hat = K[ok], A_hat[ok]
+            G = B - K @ D  # the plant-noise gain of _plant_noise_gain
+            N = G @ S_w @ np.swapaxes(G, -1, -2) + B_v1 @ B_v1.T + _v2_intensity(A_hat, K, C_hat, theta)
+            chunk_traces = traces[start * len(rhos) : (start + len(group)) * len(rhos)]
+            chunk_traces[ok] = np.trace(_solve_lyapunov_stack(A_hat, N), axis1=-2, axis2=-1)
+    return traces.reshape(len(plants), len(rhos))
 
 
 def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candidates: Sequence[float] | None) -> list:
@@ -282,7 +307,8 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         return traces
 
     # each grid: the batch's traces, and the reference path's where the batch has none
-    batches = [[np.nan, *(_grid_traces(plant, candidates[1:]) if len(candidates) > 1 else [])] for plant in plants]
+    grid = _grid_traces(plants, candidates[1:]) if len(candidates) > 1 else np.empty((m, 0))
+    batches = [[np.nan, *row] for row in grid]
     items = [(i, rho) for i in range(m) for rho, trace in zip(candidates, batches[i]) if np.isnan(trace)]
     traces = dict(zip(items, reference(items)))
     grids: list[dict[float, float]] = [{} for _ in range(m)]  # the candidates that scored, ascending
@@ -371,9 +397,10 @@ def design_algorithm2(
     (20 iterations) then sharpens the grid minimizer.
 
     The positive grid candidates are scored in one batched pass
-    (:func:`_grid_traces`). Every value that decides the answer goes through
-    the reference path, which designs the candidate and runs
-    :func:`evaluate_performance`: ``rho = 0``, whose trace is flat to
+    (:func:`_grid_traces`), which the stacked :func:`_design_alg2` runs over
+    the grids of all its plants at once. Every value that decides the
+    answer goes through the reference path, which designs the candidate and
+    runs :func:`evaluate_performance`: ``rho = 0``, whose trace is flat to
     round-off in ``rho``; each candidate the batch could not score; before
     the bracket is formed, every candidate whose batch trace lies within
     ``GRID_RTOL`` of the best reference trace, until none is left; and every
@@ -394,25 +421,34 @@ def design_algorithm2(
 def _design_alg3(plants: Sequence[QuantumLinearSystem], filters: list) -> list:
     """:func:`design_algorithm3` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
 
-    The transforms run plant by plant; the filters they fail for are
-    augmented in one :func:`_augmented_designs` call.
+    The filters are transformed in one stacked :func:`skew_riccati_transform`
+    call; those it fails for are augmented in one :func:`_augmented_designs`
+    call.
     """
+    n = plants[0].n_x
+    C_hat = np.eye(n)
+
+    def transform(done: list[int]) -> list:
+        A_hat, K = (np.stack([getattr(filters[k], name) for k in done]) for name in ("A_hat", "K"))
+        return skew_riccati_transform(A_hat, K, C_hat, plants[0].theta)
+
     results = list(filters)
     reasons: dict[int, str] = {}
-    for i, kd in enumerate(filters):
+    for i, (kd, tf) in enumerate(zip(filters, on_successes(filters, transform))):
         if isinstance(kd, QobsError):
             continue
-        C_hat = np.eye(plants[i].n_x)
-        try:
-            tf = skew_riccati_transform(kd.A_hat, kd.K, C_hat, plants[i].theta)
-        except QobsError as exc:
-            reasons[i] = exc.reason_code
+        if isinstance(tf, QobsError):
+            reasons[i] = tf.reason_code
             continue
-        obs = CoherentObserver(
-            A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=tf.B_v1_tilde, B_v2=np.zeros((plants[i].n_x, 0)),
-            provenance=Provenance("alg3", transformed=True), design=kd, transform=tf,
+        if isinstance(tf, Exception):
+            raise tf  # an untyped error of the decomposition, as the single call raises it
+        results[i] = (
+            CoherentObserver(
+                A_hat=kd.A_hat, B_hat=kd.K, C_hat=C_hat, B_v1=tf.B_v1_tilde, B_v2=np.zeros((n, 0)),
+                provenance=Provenance("alg3", transformed=True), design=kd, transform=tf,
+            ),
+            None,
         )
-        results[i] = (obs, None)
     fallback = list(reasons)
     provenances = [Provenance("alg3", transformed=False, fallback_reason=reasons[i]) for i in fallback]
     augmented = _augmented_designs([plants[i] for i in fallback], [filters[i] for i in fallback], provenances)
@@ -503,7 +539,15 @@ def evaluate_performance(plant, observer) -> PerformanceReport | list:
     worst = eigvals.real.max(axis=-1)
 
     def report(done: list[int]) -> list[PerformanceReport]:
-        N = np.stack([B_e @ S_joint @ B_e.T for _, B_e, S_joint in (systems[k] for k in done)])
+        # B_e S_joint B_e^T, one matmul per group of observers with as many vacuum inputs
+        groups: dict[int, list[int]] = {}
+        for j, k in enumerate(done):
+            groups.setdefault(systems[k][1].shape[1], []).append(j)
+        N = np.empty((len(done), *A_e.shape[1:]))
+        for group in groups.values():
+            B_e = np.array([systems[done[j]][1] for j in group])
+            S_joint = np.array([systems[done[j]][2] for j in group])
+            N[group] = B_e @ S_joint @ B_e.swapaxes(-1, -2)
         return [
             PerformanceReport(
                 J_bar=J_bar,

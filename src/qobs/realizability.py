@@ -13,6 +13,9 @@ repair mechanisms are provided:
   transformation exists exactly when a skew-symmetric Riccati equation admits
   a suitable nonsingular solution.
 
+Both take a single filter or a stack of filters; for a stack they return
+one outcome per filter.
+
 Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field_gain`.
 :func:`_v2_intensity` gives ``B_v2 B_v2^T``, all that a covariance reads of
 ``B_v2``, for a whole stack of filters without forming ``B_v2``.
@@ -25,17 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonRealResult, NonRealT, SingularResolvent, SingularX
-from .solvers import riccati_residual, riccati_solution
+from .errors import NonRealResult, NonRealT, SingularResolvent, SingularX, single_outcome
+from .solvers import _riccati_solutions, riccati_residual
 from .systems import (
     CHECK_RTOL,
     EIG_SPLIT_RTOL,
     PIVOT_RTOL,
     RANK_RTOL,
+    _nonreal_slices,
     canonical_theta,
     field_gain,
     quadrature_readout,
-    real_part_checked,
 )
 
 __all__ = [
@@ -201,7 +204,7 @@ class TransformResult:
 
 def skew_riccati_transform(
     A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray
-) -> TransformResult:
+) -> TransformResult | list:
     """State transformation after which no extra ``B_v2`` channels are needed.
 
     Solves the skew Riccati equation (the zero of :func:`stilde`) with
@@ -216,45 +219,72 @@ def skew_riccati_transform(
     doubled matrix must split cleanly), :class:`SingularX1`,
     :class:`SingularX`, and :class:`NonRealT` if the residue or pairing checks
     fail.
+
+    ``A_hat`` and ``B_hat`` may be equal-length stacks of filters. The call
+    then returns one outcome per slice, the :class:`TransformResult` or the
+    typed error that the call on that slice alone raises, and raises none
+    itself. All slices go through one :func:`.solvers._riccati_solutions`
+    call and every check runs per slice; a single filter is the stack of
+    one.
     """
     A_hat, B_hat, th_y, CtC = _skew_coefficients(A_hat, B_hat, C_hat)
     C_hat = np.asarray(C_hat, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n_x = A_hat.shape[0]
-    try:
-        X = riccati_solution(A_hat, B_hat, th_y, CtC)
-    except NonRealResult as exc:
-        raise NonRealT(f"Riccati solution is not real: {exc}") from exc
-    sym = np.max(np.abs(X + X.T))
-    if sym > CHECK_RTOL * (1.0 + np.max(np.abs(X))):
-        raise NonRealT(f"Riccati solution is not skew-symmetric (defect {sym:.3e})")
-    X = (X - X.T) / 2.0
+    single = A_hat.ndim == 2
+    if single:
+        A_hat, B_hat = A_hat[None], B_hat[None]
+    n_x = A_hat.shape[-1]
+    X, outcomes = _riccati_solutions(A_hat, B_hat, th_y, CtC[None])
+    for i, exc in enumerate(outcomes):
+        if isinstance(exc, NonRealResult):
+            outcomes[i] = NonRealT(f"Riccati solution is not real: {exc}")
+            outcomes[i].__cause__ = exc
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+
+    def drop(bad: np.ndarray, error, *stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``stacks`` without the live slices ``bad`` marks, each of which gets ``error(j)``, ``j`` its place."""
+        nonlocal live
+        if not bad.any():
+            return stacks
+        for j in np.flatnonzero(bad):
+            outcomes[live[j]] = error(j)
+        live = [i for i, b in zip(live, bad) if not b]
+        return tuple(S[~bad] for S in stacks)
+
+    X = X[live]
+    sym = np.abs(X + X.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = sym > CHECK_RTOL * (1.0 + np.abs(X).max(axis=(-2, -1), initial=0.0))
+    (X,) = drop(bad, lambda j: NonRealT(f"Riccati solution is not skew-symmetric (defect {sym[j]:.3e})"), X)
+    X = (X - X.swapaxes(-1, -2)) / 2.0
 
     # spectral pairing of the skew solution: i*X is Hermitian, so its
     # eigendecomposition is orthonormal even under repeated eigenvalues
     mu, V_mu = np.linalg.eigh(1j * X)
-    lam = -mu[: n_x // 2]  # positive, descending
-    if lam.size and lam[-1] <= EIG_SPLIT_RTOL * (1.0 + lam[0]):
-        raise SingularX(f"skew solution has a near-zero eigenvalue {lam[-1]:.3e}")
-    V_mu = _fix_column_phases(V_mu[:, : n_x // 2])  # eigenvalues +i*lam of X
-    V = np.empty((n_x, n_x), dtype=complex)
-    V[:, 0::2], V[:, 1::2] = V_mu, V_mu.conj()  # each next to its -i*lam partner
-    D = np.repeat(np.sqrt(lam), 2)
+    lam = -mu[:, : n_x // 2]  # positive, descending
+    bad = lam[:, -1] <= EIG_SPLIT_RTOL * (1.0 + lam[:, 0]) if lam.shape[-1] else np.zeros(len(X), dtype=bool)
+    X, lam, V_mu = drop(
+        bad, lambda j: SingularX(f"skew solution has a near-zero eigenvalue {lam[j, -1]:.3e}"), X, lam, V_mu
+    )
+    V_mu = _fix_column_phases(V_mu[..., : n_x // 2])  # eigenvalues +i*lam of X
+    V = np.empty((len(X), n_x, n_x), dtype=complex)
+    V[..., 0::2], V[..., 1::2] = V_mu, V_mu.conj()  # each next to its -i*lam partner
+    D = np.repeat(np.sqrt(lam), 2, axis=-1)
     V_pair = np.kron(np.eye(n_x // 2), np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2))
-    try:
-        T = real_part_checked(V_pair @ (D[:, None] * V.conj().T))
-    except NonRealResult as exc:
-        raise NonRealT(str(exc)) from exc
-    factor_gap = np.max(np.abs(T.T @ theta @ T - X))
-    if factor_gap > CHECK_RTOL * (1.0 + np.max(np.abs(X))):
-        raise NonRealT(f"factorization defect {factor_gap:.3e}")
+    T = V_pair @ (D[..., :, None] * V.conj().swapaxes(-1, -2))
+    nonreal = _nonreal_slices(T)
+    bad = np.array([error is not None for error in nonreal], dtype=bool)
+    X, T = drop(bad, lambda j: NonRealT(str(nonreal[j])), X, T)
+    T = np.ascontiguousarray(T.real)
+    factor_gap = np.abs(T.swapaxes(-1, -2) @ theta @ T - X).max(axis=(-2, -1), initial=0.0)
+    bad = factor_gap > CHECK_RTOL * (1.0 + np.abs(X).max(axis=(-2, -1), initial=0.0))
+    X, T = drop(bad, lambda j: NonRealT(f"factorization defect {factor_gap[j]:.3e}"), X, T)
 
     T_inv = np.linalg.inv(T)
     C_tilde = C_hat @ T_inv
-    return TransformResult(
-        X=X, T=T, A_tilde=T @ A_hat @ T_inv, B_tilde=T @ B_hat, C_tilde=C_tilde,
-        B_v1_tilde=field_gain(theta, C_tilde),
-    )
+    results = zip(X, T, T @ A_hat[live] @ T_inv, T @ B_hat[live], C_tilde, field_gain(theta, C_tilde))
+    for i, fields in zip(live, results):
+        outcomes[i] = TransformResult(*fields)
+    return single_outcome(outcomes) if single else outcomes
 
 
 def default_frequency_grid() -> np.ndarray:

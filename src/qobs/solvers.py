@@ -14,17 +14,21 @@ The Schur route is a stack routine: :func:`solve_care` takes a stack of
 filter CAREs (one per plant, or per noise inflation) and returns one outcome
 per slice, the :class:`KalmanDesign` or the typed error that the slice alone
 raises; a single call is the stack of one. Only the Schur decomposition runs
-slice by slice (:func:`_stable_subspaces`); every other step is one batched
-numpy call, whose slices have the bytes they have alone, and every check
-runs per slice, so no slice makes the stack raise. :func:`solve_lyapunov` is
-likewise :func:`_solve_lyapunov_stack` on a stack of one.
+slice by slice (:func:`_stable_subspaces`), as one direct LAPACK ``gees``
+call per slice, the one ``scipy.linalg.schur`` makes, without that
+wrapper's per-call checks and workspace query; every other step is one
+batched numpy call, whose slices have the bytes they have alone, and every
+check runs per slice, so no slice makes the stack raise.
+:func:`solve_lyapunov` is likewise :func:`_solve_lyapunov_stack` on a stack
+of one.
 
-:func:`_solve_care_stack` scores many candidate filters of one plant at
-once for alg2's grid. There the matrix sign function with determinant
-scaling (Roberts, Int. J. Control 1980; Byers, Linear Algebra Appl. 1987)
-replaces the Schur decomposition. Each slice carries the Schur route's
-checks, and a slice that fails one is flagged for the caller to solve
-through :func:`solve_care`, so that routine decides no failure either.
+:func:`_solve_care_stack` scores many candidate filters at once for alg2's
+grid, one slice per ``(plant, rho)`` of all the plants a design runs on.
+There the matrix sign function with determinant scaling (Roberts, Int. J.
+Control 1980; Byers, Linear Algebra Appl. 1987) replaces the Schur
+decomposition. Each slice carries the Schur route's checks, and a slice
+that fails one is flagged for the caller to solve through
+:func:`solve_care`, so that routine decides no failure either.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DomainError,
@@ -67,6 +71,10 @@ __all__ = [
 #: bytes of one chunk of _solve_lyapunov_stack's Kronecker operators; the linear solve copies
 #: the chunk once more, so about twice this is live at a time
 KRON_CHUNK_BYTES = 1 << 19
+
+#: LAPACK's complex Schur decomposition (zgees), as scipy.linalg.schur resolves it for complex input
+(_GEES,) = get_lapack_funcs(("gees",), (np.zeros((1, 1), dtype=complex),))
+_GEES_LWORK: dict[int, int] = {}
 
 
 def _axis_tolerance(eigvals: np.ndarray) -> float | np.ndarray:
@@ -112,27 +120,61 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X1[0], X2[0]
 
 
+def _lhp(eigval: complex) -> bool:
+    """``gees``'s selection of the leading eigenvalues: those in the open left half plane."""
+    return eigval.real < 0.0
+
+
+def _gees_lwork(dim: int) -> int:
+    """``gees``'s optimal workspace for ``dim x dim`` matrices, queried once per dimension."""
+    if dim not in _GEES_LWORK:
+        work = _GEES(lambda x: None, np.zeros((dim, dim), dtype=complex), lwork=-1)[-2]
+        _GEES_LWORK[dim] = work[0].real.astype(np.int_)
+    return _GEES_LWORK[dim]
+
+
+def _gees_error(info: int, dim: int) -> Exception | None:
+    """The error ``scipy.linalg.schur`` raises for ``gees``'s ``info`` on a ``dim x dim`` matrix, or ``None``."""
+    if info < 0:
+        return ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info == dim + 1:
+        return np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == dim + 2:
+        return np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    if info > 0:
+        return np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return None
+
+
 def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """:func:`stable_subspace` for each slice of a stack: ``(X1, X2, errors)``.
 
-    The Schur decomposition runs slice by slice, the checks on the whole
-    stack. ``errors`` holds per slice ``None`` or what :func:`stable_subspace`
-    would raise (a ``LinAlgError`` or ``ValueError`` of the decomposition
-    included); the blocks of a failed slice are meaningless.
+    The ordered complex Schur decomposition runs slice by slice, as one
+    LAPACK ``gees`` call each: the call ``scipy.linalg.schur(..., output=
+    "complex", sort="lhp")`` makes, with its workspace queried once per
+    dimension, so it gives the same ``T``, ``U`` and ``sdim``. The checks run
+    on the whole stack. ``errors`` holds per slice ``None`` or what
+    :func:`stable_subspace` would raise (the ``LinAlgError`` or ``ValueError``
+    that ``scipy.linalg.schur`` raises for the slice included); the blocks of
+    a failed slice are meaningless.
     """
-    m, n = Z.shape[0], Z.shape[-1] // 2
+    m, dim = Z.shape[0], Z.shape[-1]
+    n = dim // 2
     Z = Z.astype(complex)
     U = np.zeros(Z.shape, dtype=complex)
     eigvals = np.zeros(Z.shape[:-1], dtype=complex)
     sdim = [n] * m
     errors: list = [None] * m
+    finite = np.isfinite(Z).all(axis=(-2, -1))
+    lwork = _gees_lwork(dim)
     for i in range(m):
-        try:
-            T, U[i], sdim[i] = scipy.linalg.schur(Z[i], output="complex", sort="lhp")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            errors[i] = exc
+        if not finite[i]:
+            errors[i] = ValueError("array must not contain infs or NaNs")
             continue
-        eigvals[i] = T.diagonal()
+        T, sdim[i], _, vs, _, info = _GEES(_lhp, Z[i], lwork=lwork, sort_t=1)
+        errors[i] = _gees_error(info, dim)
+        if errors[i] is None:
+            U[i], eigvals[i] = vs, T.diagonal()
     tol = _axis_tolerance(eigvals)
     closest = np.abs(eigvals.real).min(axis=-1)
     for i in range(m):
@@ -328,11 +370,14 @@ def _solve_care_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The filters of :func:`solve_care` for a stack ``V2`` of measurement-noise intensities.
 
-    Returns ``(K, A_hat, ok)``: the gains and filter matrices of the slices,
-    and which slices passed every check. Each CARE is solved from the sign
-    ``W`` of its Hamiltonian: ``[I; X]`` spans the stable subspace, the null
-    space of ``W + I``, so ``X`` is the least-squares solution of
-    ``[W12; W22 + I] X = -[W11 + I; W21]``. A slice is ``ok`` when
+    The other arguments are one plant's matrices or stacks with one slice per
+    ``V2``, as :func:`solve_care` takes them, so one call scores the candidate
+    filters of many plants. Returns ``(K, A_hat, ok)``: the gains and filter
+    matrices of the slices, and which slices passed every check. Each CARE
+    is solved from the sign ``W`` of its Hamiltonian: ``[I; X]`` spans the
+    stable subspace, the null space of ``W + I``, so ``X`` is the
+    least-squares solution of ``[W12; W22 + I] X = -[W11 + I; W21]``. A
+    slice is ``ok`` when
 
     * its ``V2`` has eigenvalues in the normal floating-point range, at
       most ``1 / eps`` apart, and a finite inverse; the Hamiltonian, the
@@ -354,12 +399,12 @@ def _solve_care_stack(
     call raise.
     """
     A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
-    n = A.shape[0]
+    n = A.shape[-1]
     w = np.linalg.eigvalsh(np.where(np.isfinite(V2), V2, 0.0))
     ok = (w[..., 0] >= np.finfo(float).tiny) & (w[..., 0] > np.finfo(float).eps * w[..., -1])
     V2_inv = np.linalg.inv(np.where(ok[:, None, None], V2, np.eye(V2.shape[-1])))
     F, B, M, H = _care_coefficients(A, C, V1, V12, V2_inv)
-    G = B @ M @ B.T
+    G = B @ M @ B.swapaxes(-1, -2)
     Z = np.block([[F, -G], [-H, -np.swapaxes(F, -1, -2)]])
     ok = _finite_slices(ok, Z)
     W, converged = _sign_stack(Z)
@@ -374,7 +419,7 @@ def _solve_care_stack(
     ok &= np.linalg.norm(residual, axis=(-2, -1)) <= CHECK_RTOL * scale
     x2 = np.linalg.eigvalsh(Q) ** 2
     ok &= (1.0 + x2.max(axis=-1)) / (1.0 + x2.min(axis=-1)) <= SIGN_COND_MAX**2
-    K = (Q @ C.T + V12) @ V2_inv
+    K = (Q @ C.swapaxes(-1, -2) + V12) @ V2_inv
     A_hat = A - K @ C
     ok = _finite_slices(ok, K, A_hat)
     poles = np.linalg.eigvals(A_hat)
@@ -388,6 +433,7 @@ def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
     Desk-scale method: the equation is vectorized into a dense linear system
     (at most 256 unknowns for the dimensions this package handles), the one
     of :func:`_solve_lyapunov_stack` for a stack of one. Raises
+    :class:`DomainError` for mismatched shapes or non-finite entries, and
     :class:`NotHurwitz` as :func:`_not_hurwitz` decides it.
     """
     A_e = np.asarray(A_e, dtype=float)
@@ -395,6 +441,8 @@ def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:
     n = A_e.shape[0]
     if A_e.shape != (n, n) or N.shape != (n, n):
         raise DomainError(f"shape mismatch: {A_e.shape} vs {N.shape}")
+    if not (np.isfinite(A_e).all() and np.isfinite(N).all()):
+        raise DomainError("A_e and N must be finite")
     (error,) = _not_hurwitz(np.linalg.eigvals(A_e[None]))
     if error is not None:
         raise error

@@ -73,23 +73,14 @@ def _require_even(n: int, what: str) -> None:
         raise DomainError(f"{what} must be a positive even integer, got {n}")
 
 
-def real_part_checked(M: np.ndarray) -> np.ndarray:
-    """Drop the imaginary part of ``M`` after verifying it is negligible.
-
-    The allowance scales with the largest entry magnitude so that the check is
-    meaningful for both near-zero and large matrices. Raises
-    :class:`NonRealResult` when the residue is structural rather than
-    round-off.
-    """
-    M = np.asarray(M)
-    (error,) = _nonreal_slices(M[None])
-    if error is not None:
-        raise error
-    return np.ascontiguousarray(M.real)
-
-
 def _nonreal_slices(M: np.ndarray) -> list:
-    """The check of :func:`real_part_checked` on each slice of a stack: ``None``, or its :class:`NonRealResult`."""
+    """Per slice of a stack of must-be-real matrices: ``None``, or a :class:`NonRealResult`.
+
+    A slice fails when its imaginary part is not negligible. The allowance
+    scales with the slice's largest entry magnitude so that the check is
+    meaningful for both near-zero and large matrices; the error marks a
+    residue that is structural rather than round-off.
+    """
     scale = IMAG_RESIDUE_RTOL * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
     residue = np.abs(M.imag).max(axis=(-2, -1), initial=0.0)
     return [

@@ -1,6 +1,7 @@
 """Designer tests: the three coherent designs, the heterodyne baseline, the metric."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import logging
@@ -45,6 +46,8 @@ DATA = Path(__file__).resolve().parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: every fourth default-grid point plus the transformation boundaries
 CAVITY_KNS = sorted(set(default_kn_grid()[::4]) | {69.0, 70.0, 909.0, 910.0})
+#: SHA-256 of alg2's answers (rho_opt, trace, J_bar bytes, skip log) on pool plant 0 of each perfbench stratum
+POOL_ALG2_SHA256 = "9f5ab82ff821acfd2d2ae311ed937539d7c9c9f8887bb08f612977589f26de63"
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +67,7 @@ def perfbench_workloads():
 
 def reference_only(monkeypatch):
     """Make design_algorithm2 score every candidate through the reference path, as it did before the batch."""
-    monkeypatch.setattr(qobs.observers, "_grid_traces", lambda plant, rhos: np.full(len(rhos), np.nan))
+    monkeypatch.setattr(qobs.observers, "_grid_traces", lambda plants, rhos: np.full((len(plants), len(rhos)), np.nan))
 
 
 def design_both_ways(plant, monkeypatch, caplog, rho_candidates=None):
@@ -221,7 +224,7 @@ class TestAlgorithm2:
         # slices, and the reference path skips them for their reasons
         plant = dataclasses.replace(make_cavity_plant(0.1, 0.1, 1.0), D=np.zeros((2, 4)))
         candidates = [0.0, 1e-200, 1e-161, 0.1]
-        assert np.isnan(qobs.observers._grid_traces(plant, candidates[1:3])).all()
+        assert np.isnan(qobs.observers._grid_traces([plant], candidates[1:3])).all()
         batched, reference = design_both_ways(plant, monkeypatch, caplog, candidates)
         assert_same_answer(batched, reference)
         assert batched[1] == 0.1
@@ -279,10 +282,10 @@ class TestAlgorithm2:
         near, far = grid[1], grid[2]
         grid_traces = qobs.observers._grid_traces
 
-        def perturbed(plant, rhos):
-            traces = grid_traces(plant, rhos)
-            traces[list(rhos).index(near)] = best * (1.0 + GRID_RTOL / 2.0)
-            traces[list(rhos).index(far)] = best * (1.0 + 2.0 * GRID_RTOL)
+        def perturbed(plants, rhos):
+            traces = grid_traces(plants, rhos)
+            traces[:, list(rhos).index(near)] = best * (1.0 + GRID_RTOL / 2.0)
+            traces[:, list(rhos).index(far)] = best * (1.0 + 2.0 * GRID_RTOL)
             return traces
 
         monkeypatch.setattr(qobs.observers, "_grid_traces", perturbed)
@@ -312,7 +315,7 @@ class TestAlgorithm2:
             plant = make_cavity_plant(*scenario, kn)
             batched, reference = design_both_ways(plant, monkeypatch, caplog)
             assert_same_answer(batched, reference)
-            traces = qobs.observers._grid_traces(plant, grid[1:])
+            (traces,) = qobs.observers._grid_traces([plant], grid[1:])
             expected = np.array([reference[2][rho] for rho in grid[1:]])
             assert_allclose(traces, expected, rtol=1e-10, atol=0.0)
 
@@ -323,7 +326,7 @@ class TestAlgorithm2:
             plant = perfbench_workloads.pool_plant(stratum, 0)
             batched, reference = design_both_ways(plant, monkeypatch, caplog)
             assert_same_answer(batched, reference)
-            traces = qobs.observers._grid_traces(plant, grid[1:])
+            (traces,) = qobs.observers._grid_traces([plant], grid[1:])
             ok = np.isfinite(traces)
             expected = np.array([reference[2].get(rho, np.nan) for rho in grid[1:]])
             assert not np.isnan(expected[ok]).any()  # no batch score where the reference path fails
@@ -357,9 +360,56 @@ class TestAlgorithm2:
         # non-real Riccati solution (cond(X1) = 5e7), where the sign function
         # succeeds; the slice is left to the reference path, which decides
         plant = perfbench_workloads.pool_plant(12, 0)
-        assert np.isnan(qobs.observers._grid_traces(plant, [100.0])).all()
+        assert np.isnan(qobs.observers._grid_traces([plant], [100.0])).all()
         batched, reference = design_both_ways(plant, monkeypatch, caplog)
         assert_same_answer(batched, reference)
+
+    @pytest.mark.parametrize("family", ["cavity", "pool"])
+    def test_a_plant_list_is_scored_as_per_plant_calls(self, family, perfbench_workloads, monkeypatch):
+        # the grid batch over many plants, cut into chunks of two plants here,
+        # gives each plant's row the bytes of its own call, NaN slices
+        # included: V2 = rho^2 I is zero or too near singular on the D = 0
+        # cavity, and pool plant 0 of stratum 12 fails at rho = 100
+        if family == "cavity":
+            plants = [make_cavity_plant(*co.S2, kn) for kn in (0.5, 10.0, 69.0, 70.0, 500.0)]
+            plants[1] = dataclasses.replace(plants[1], D=np.zeros((2, 4)))
+            rhos = [1e-200, 1e-161, *default_rho_grid()[1:]]
+        else:
+            plants = [perfbench_workloads.pool_plant(12, i) for i in range(5)]
+            rhos = default_rho_grid()[1:]
+        n = plants[0].n_x
+        singles = np.concatenate([qobs.observers._grid_traces([plant], rhos) for plant in plants])
+        stack, chunks = qobs.observers._solve_care_stack, []
+
+        def counted(*args):
+            chunks.append(len(args[4]) // len(rhos))
+            return stack(*args)
+
+        monkeypatch.setattr(qobs.observers, "_solve_care_stack", counted)
+        monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))
+        traces = qobs.observers._grid_traces(plants, rhos)
+        assert chunks == [2, 2, 1]
+        assert traces.shape == (len(plants), len(rhos))
+        assert traces.tobytes() == singles.tobytes()
+        assert np.isnan(traces).any() and not np.isnan(traces).all()
+
+    def test_pool_answers_are_pinned(self, perfbench_workloads, caplog):
+        # the hand check every performance change makes on the whole pool,
+        # on one plant per stratum: rho_opt, the trace, J_bar and the skip log
+        caplog.set_level(logging.DEBUG, logger="qobs.observers")
+        digest = hashlib.sha256()
+        for stratum in range(len(perfbench_workloads.STRATA)):
+            plant = perfbench_workloads.pool_plant(stratum, 0)
+            caplog.clear()
+            obs, rho_opt, _ = design_algorithm2(plant)
+            report = evaluate_performance(plant, obs)
+            digest.update(repr((stratum, rho_opt, report.trace)).encode())
+            digest.update(report.J_bar.tobytes())
+            digest.update("\n".join(record.getMessage() for record in caplog.records).encode())
+        assert digest.hexdigest() == POOL_ALG2_SHA256, (
+            f"alg2's answers on the pool plants have SHA-256 {digest.hexdigest()}; the pinned sum was recorded"
+            f" with numpy 2.4.6 and scipy 1.17.1, and this run has numpy {np.__version__} and scipy {scipy.__version__}"
+        )
 
     def test_curve_is_deterministic(self):
         plant = make_cavity_plant(0.5, 0.01, 20.0)
@@ -602,6 +652,17 @@ class TestStack:
                 assert outcome_bytes(outcome) == outcome_bytes(single), (designer.__name__, k)
         reason = "DomainError: measurement-noise intensity V2 is not positive definite"
         assert failed == {("design_algorithm1", 2): reason, ("design_algorithm3", 2): reason}
+
+    @pytest.mark.parametrize("scenario, boundary", [(co.S2, 69.0), (co.S3, 909.0)])
+    def test_a_transform_stack_across_the_boundary_equals_single_calls(self, scenario, boundary):
+        # one stacked skew transform, transformed below the boundary and
+        # fallen back above it, gives each plant its single call's design
+        kns = [0.5, boundary - 1.0, boundary, boundary + 1.0, 2.0 * boundary]
+        plants = [make_cavity_plant(*scenario, kn) for kn in kns]
+        outcomes = qobs.observers._design_alg3(plants, qobs.observers._kalman_step(plants, 0.0))
+        for plant, outcome in zip(plants, outcomes):
+            assert outcome_bytes(outcome) == outcome_bytes(design_algorithm3(plant))
+        assert [reason for _, reason in outcomes] == [None, None, None] + ["ImaginaryAxisEigenvalue"] * 2
 
     def test_an_evaluation_stack_equals_single_calls(self, perfbench_workloads):
         # one observer of the stack has unstable error dynamics

@@ -19,7 +19,7 @@ from qobs import (
     solve_lyapunov,
     stable_subspace,
 )
-from qobs.solvers import _solve_care_stack, _solve_lyapunov_stack
+from qobs.solvers import _solve_care_stack, _solve_lyapunov_stack, _stable_subspaces
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -40,6 +40,23 @@ def rk4_step_loop(A_e, N, P0, horizon, step):
         k4 = flow(P + h * k3)
         P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return P
+
+
+def schur_blocks(Z):
+    """Reference for ``_stable_subspaces``: ``scipy.linalg.schur`` slice by slice, the call its ``gees`` call replaces.
+
+    Per slice ``(X1, X2, sdim)``, or the exception ``scipy.linalg.schur`` raises.
+    """
+    n = Z.shape[-1] // 2
+    out = []
+    for Zi in Z:
+        try:
+            _, U, sdim = scipy.linalg.schur(Zi.astype(complex), output="complex", sort="lhp")
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            out.append(exc)
+            continue
+        out.append((U[:n, :n], U[n:, :n], sdim))
+    return out
 
 
 def cavity_noise_blocks(k1, k2, kn):
@@ -176,6 +193,14 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitz):
             solve_lyapunov(0.1 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "A_e, N",
+        [(np.full((2, 2), np.nan), np.eye(2)), (-np.eye(2), np.full((2, 2), np.nan)), (-np.eye(2), np.full((2, 2), np.inf))],
+    )
+    def test_non_finite_input_rejected(self, A_e, N):
+        with pytest.raises(DomainError, match="must be finite"):
+            solve_lyapunov(A_e, N)
+
     def test_agrees_with_scipy(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -309,6 +334,28 @@ class TestStableSubspace:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DomainError):
             stable_subspace(np.eye(3))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_matches_scipy_schur(self, n):
+        # Hamiltonians, whose spectra split evenly, and general matrices,
+        # which mostly do not; one slice is not finite
+        rng = np.random.default_rng(n)
+        F, G, H = (rng.normal(size=(12, n, n)) for _ in range(3))
+        G, H = G @ G.swapaxes(-1, -2), H @ H.swapaxes(-1, -2)
+        Z = np.concatenate([np.block([[F, -G], [-H, -F.swapaxes(-1, -2)]]), rng.normal(size=(12, 2 * n, 2 * n))])
+        Z[5, 0, -1] = np.nan
+        X1, X2, errors = _stable_subspaces(Z)
+        kinds = set()
+        for i, reference in enumerate(schur_blocks(Z)):
+            if isinstance(reference, Exception):
+                assert type(errors[i]) is type(reference) and str(errors[i]) == str(reference)
+                kinds.add(type(reference).__name__)
+                continue
+            assert X1[i].tobytes() == reference[0].tobytes() and X2[i].tobytes() == reference[1].tobytes()
+            kinds.add(type(errors[i]).__name__)
+            assert type(errors[i]).__name__ == ("NoneType" if reference[2] == n else "WrongSplitCount")
+        assert kinds == {"ValueError", "WrongSplitCount", "NoneType"}
+        assert str(errors[5]) == "array must not contain infs or NaNs"
 
     def test_unbalanced_split_rejected(self):
         from qobs import WrongSplitCount
