@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import DomainError, QobsError, on_successes, single_outcome
 from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
-from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _not_hurwitz, _solve_care_stack, _solve_lyapunov_stack, solve_care
+from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _filter_cares, _not_hurwitz, _sign_solutions, solve_care
+from .solvers import _solve_lyapunov_stack
 from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
 
 logger = logging.getLogger(__name__)
@@ -220,15 +221,14 @@ def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -
     filter, from its defect ``S_tilde`` alone: the error covariance reads
     ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so the
     noise intensity of :func:`error_system` is formed block by block. All
-    ``(plant, rho)`` slices go through one :func:`_solve_care_stack`,
-    :func:`_v2_intensity` and :func:`_solve_lyapunov_stack` pass, in chunks
-    of whole plants of about 1 MB of working memory, so memory stays flat in
-    the number of plants; each slice has the bytes it has alone. The traces
-    agree with the reference path's to round-off amplified by the
-    conditioning of the Riccati and Lyapunov equations, within ``GRID_RTOL``
-    relative on the cavity and on perfbench's pool plants. NaN marks a
-    candidate that failed a check of :func:`_solve_care_stack`; only the
-    reference path can score it or say why it fails.
+    ``(plant, rho)`` slices go through one pass of :func:`_filter_cares`
+    with :func:`_sign_solutions`, whose filters must be Hurwitz as
+    :func:`_not_hurwitz` decides, and of :func:`_v2_intensity` and
+    :func:`_solve_lyapunov_stack`, in chunks of whole plants of about 1 MB
+    of working memory; each slice has the bytes it has alone. The traces
+    agree with the reference path's within ``GRID_RTOL`` relative on the
+    cavity and on perfbench's pool plants. NaN marks a candidate that failed
+    a check; only the reference path can score it or say why it fails.
     """
     rhos = np.asarray(rhos, dtype=float)
     traces = np.full(len(plants) * len(rhos), np.nan)  # plant by plant
@@ -241,7 +241,10 @@ def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -
     chunk = max(1, 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * n) ** 2 * len(rhos)))
     for start in range(0, len(plants), chunk):
         group = plants[start : start + chunk]
-        K, A_hat, ok = _solve_care_stack(*_care_inputs(group, np.tile(rhos, len(group)), len(rhos)))
+        care = _care_inputs(group, np.tile(rhos, len(group)), len(rhos))
+        _, K, A_hat, _, errors = _filter_cares(_sign_solutions, *care)
+        ok = np.array([error is None for error in errors])
+        ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
         if ok.any():
             _, B, _, D, S_w = (M if M.ndim == 2 else M[ok] for M in _plant_matrices(group, len(rhos)))
             K, A_hat = K[ok], A_hat[ok]
@@ -271,6 +274,8 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         raise DomainError("rho candidate list must be non-empty")
     if not all(np.isfinite(rho * rho) for rho in candidates):
         raise DomainError("rho candidates must be finite, with finite squares")
+    if candidates[0] < 0.0:
+        raise DomainError(f"rho candidates must be non-negative, got {candidates[0]}")
     if candidates[0] != 0.0:
         raise DomainError("rho candidate list must include 0")
 
@@ -528,11 +533,14 @@ def evaluate_performance(plant, observer) -> PerformanceReport | list:
     ``plant`` and ``observer`` may be equal-length lists of same-shape
     plants and their observers. The call then returns one outcome per pair,
     the :class:`PerformanceReport` or the :class:`NotHurwitz` error, and
-    raises none; the Lyapunov equations are solved as one stack. A single
-    pair is the stack of one.
+    raises none but :class:`DomainError` for empty lists or lists of unequal
+    length; the Lyapunov equations are solved as one stack. A single pair is
+    the stack of one.
     """
     single = isinstance(plant, QuantumLinearSystem)
     plants, observers = ([plant], [observer]) if single else (plant, observer)
+    if not 0 < len(plants) == len(observers):
+        raise DomainError(f"need as many observers as plants, at least one: got {len(plants)} and {len(observers)}")
     systems = [error_system(p, obs) for p, obs in zip(plants, observers)]
     A_e = np.stack([A for A, _, _ in systems])
     eigvals = np.linalg.eigvals(A_e)

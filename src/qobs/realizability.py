@@ -24,17 +24,19 @@ Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonRealResult, NonRealT, SingularResolvent, SingularX, single_outcome
+from .errors import DomainError, NonRealResult, NonRealT, SingularResolvent, SingularX, single_outcome
 from .solvers import _riccati_solutions, riccati_residual
 from .systems import (
     CHECK_RTOL,
     EIG_SPLIT_RTOL,
     PIVOT_RTOL,
     RANK_RTOL,
+    _frozen_array,
     _nonreal_slices,
     canonical_theta,
     field_gain,
@@ -84,9 +86,12 @@ def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, ...]:
     ``(||theta B theta_y B^T theta||_2 + 2 ||A_hat||_2 + ||C^T theta_eta C||_2) / 4``,
     so a round-off defect has rank 0. A real skew ``S_tilde`` has eigenvalues
     in ``+/-`` pairs, so twice the kept count is its numerical rank. For a
-    stack of filters every result has the stack's leading axis.
+    stack of filters every result has the stack's leading axis. Raises
+    :class:`DomainError` for a non-finite filter.
     """
     F, B, M, H = _skew_coefficients(A_hat, B_hat, C_hat)
+    if not (np.isfinite(F).all() and np.isfinite(B).all() and np.isfinite(H).all()):
+        raise DomainError("filter matrices A_hat, B_hat, C_hat must be finite")
     theta = np.asarray(theta, dtype=float)
     S_t = riccati_residual(F, B, M, H, theta)
     # the 2-norms, each the largest singular value of its term
@@ -202,23 +207,29 @@ class TransformResult:
     B_v1_tilde: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _pairing_basis(n_x: int) -> np.ndarray:
+    """``diag(P, ..., P)``, ``P = [[1, 1], [i, -i]] / sqrt(2)``, for ``n_x`` states; built once per size, read-only."""
+    return _frozen_array(np.kron(np.eye(n_x // 2), np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)), complex)
+
+
 def skew_riccati_transform(
     A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray
 ) -> TransformResult | list:
     """State transformation after which no extra ``B_v2`` channels are needed.
 
     Solves the skew Riccati equation (the zero of :func:`stilde`) with
-    :func:`.solvers.riccati_solution`, whose ``X = X2 X1^-1`` is real and
+    :func:`.solvers._riccati_solutions`, whose ``X = X2 X1^-1`` is real and
     skew-symmetric when the three assumptions below hold; ``[X1; X2]`` spans
     the stable subspace of the doubled matrix pairing the filter with its
     adjoint. The factor ``T`` with ``X = T^T theta T`` comes from the spectral
     pairing of ``X``: eigenvalues ``+/- i lambda_j`` sorted by ``lambda``
     descending and oriented so the principal square root involved is real.
 
-    Raises, in the order checked: :class:`ImaginaryAxisEigenvalue` (the
-    doubled matrix must split cleanly), :class:`SingularX1`,
-    :class:`SingularX`, and :class:`NonRealT` if the residue or pairing checks
-    fail.
+    Raises, in the order checked: :class:`DomainError` for a non-finite
+    filter, :class:`ImaginaryAxisEigenvalue` (the doubled matrix must split
+    cleanly), :class:`SingularX1`, :class:`SingularX`, and :class:`NonRealT`
+    if the residue or pairing checks fail.
 
     ``A_hat`` and ``B_hat`` may be equal-length stacks of filters. The call
     then returns one outcome per slice, the :class:`TransformResult` or the
@@ -269,8 +280,7 @@ def skew_riccati_transform(
     V = np.empty((len(X), n_x, n_x), dtype=complex)
     V[..., 0::2], V[..., 1::2] = V_mu, V_mu.conj()  # each next to its -i*lam partner
     D = np.repeat(np.sqrt(lam), 2, axis=-1)
-    V_pair = np.kron(np.eye(n_x // 2), np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2))
-    T = V_pair @ (D[..., :, None] * V.conj().swapaxes(-1, -2))
+    T = _pairing_basis(n_x) @ (D[..., :, None] * V.conj().swapaxes(-1, -2))
     nonreal = _nonreal_slices(T)
     bad = np.array([error is not None for error in nonreal], dtype=bool)
     X, T = drop(bad, lambda j: NonRealT(str(nonreal[j])), X, T)

@@ -4,7 +4,7 @@ Everything here targets desk-scale problems (state dimensions up to ~16), so
 the continuous Lyapunov equation is solved as a vectorized linear system. Both
 Riccati equations of the package, the filter CARE behind every observer and
 the skew Riccati equation of the state transformation, go through
-:func:`riccati_solution`: the stable invariant subspace ``[X1; X2]`` of the
+:func:`_riccati_solutions`: the stable invariant subspace ``[X1; X2]`` of the
 Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
 1979). A fixed-step RK4 integrator for the covariance flow, which composes
 its steps by powering the one-step map with matrix products alone, serves
@@ -22,13 +22,12 @@ check runs per slice, so no slice makes the stack raise.
 :func:`solve_lyapunov` is likewise :func:`_solve_lyapunov_stack` on a stack
 of one.
 
-:func:`_solve_care_stack` scores many candidate filters at once for alg2's
-grid, one slice per ``(plant, rho)`` of all the plants a design runs on.
-There the matrix sign function with determinant scaling (Roberts, Int. J.
-Control 1980; Byers, Linear Algebra Appl. 1987) replaces the Schur
-decomposition. Each slice carries the Schur route's checks, and a slice
-that fails one is flagged for the caller to solve through
-:func:`solve_care`, so that routine decides no failure either.
+alg2's grid, one slice per ``(plant, rho)`` of all the plants a design
+runs on, goes through :func:`solve_care`'s body :func:`_filter_cares` with
+the solution step :func:`_sign_solutions`: the matrix sign function with
+determinant scaling (Roberts, Int. J. Control 1980; Byers, Linear Algebra
+Appl. 1987) in place of the Schur decomposition. A slice that fails a check
+is left to :func:`solve_care`, so that routine decides every failure.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .systems import (
 __all__ = [
     "KalmanDesign",
     "stable_subspace",
-    "riccati_solution",
     "riccati_residual",
     "solve_care",
     "solve_lyapunov",
@@ -107,7 +105,8 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     also gives the eigenvalues. The stack routine :func:`_stable_subspaces`
     on a stack of one.
 
-    Raises :class:`ImaginaryAxisEigenvalue` if any eigenvalue is within
+    Raises :class:`DomainError` for a matrix that is not square, even and
+    finite, :class:`ImaginaryAxisEigenvalue` if any eigenvalue is within
     tolerance of the imaginary axis, and :class:`WrongSplitCount` if the
     stable subspace does not have dimension ``n``.
     """
@@ -155,8 +154,8 @@ def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     dimension, so it gives the same ``T``, ``U`` and ``sdim``. The checks run
     on the whole stack. ``errors`` holds per slice ``None`` or what
     :func:`stable_subspace` would raise (the ``LinAlgError`` or ``ValueError``
-    that ``scipy.linalg.schur`` raises for the slice included); the blocks of
-    a failed slice are meaningless.
+    that ``scipy.linalg.schur`` raises for a finite slice included); the
+    blocks of a failed slice are meaningless.
     """
     m, dim = Z.shape[0], Z.shape[-1]
     n = dim // 2
@@ -169,7 +168,7 @@ def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     lwork = _gees_lwork(dim)
     for i in range(m):
         if not finite[i]:
-            errors[i] = ValueError("array must not contain infs or NaNs")
+            errors[i] = DomainError("array must not contain infs or NaNs")
             continue
         T, sdim[i], _, vs, _, info = _GEES(_lhp, Z[i], lwork=lwork, sort_t=1)
         errors[i] = _gees_error(info, dim)
@@ -189,32 +188,27 @@ def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     return U[:, :n, :n], U[:, n:, :n], errors
 
 
-def riccati_solution(F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Solution ``X`` of ``X B M B^T X - X F - F^T X - H = 0`` from its stable subspace.
-
-    Takes the stable invariant subspace ``[X1; X2]`` of the Hamiltonian
-    ``[[F, -B M B^T], [-H, -F^T]]`` and returns ``X = X2 X1^-1``, so that
-    ``F - B M B^T X`` is Hurwitz. Raises what :func:`stable_subspace` raises,
-    :class:`SingularX1` when ``cond(X1)`` exceeds ``COND_MAX``, and
-    :class:`NonRealResult` when ``X`` is not real. The stack routine
-    :func:`_riccati_solutions` on a stack of one.
-    """
-    X, (error,) = _riccati_solutions(*(np.asarray(C, dtype=float)[None] for C in (F, B, M, H)))
-    if error is not None:
-        raise error
-    return X[0]
-
-
-def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
-    """:func:`riccati_solution` for each slice of stacks of coefficients: ``(X, errors)``.
-
-    ``errors`` holds per slice ``None`` or what :func:`riccati_solution`
-    would raise; the ``X`` of a failed slice is meaningless.
-    """
+def _hamiltonian(F, B, M, H) -> tuple[np.ndarray, np.ndarray]:
+    """Per slice, ``Z = [[F, -G], [-H, -F^T]]`` and ``G = B M B^T`` of ``X G X - X F - F^T X - H = 0``."""
     G = B @ M @ B.swapaxes(-1, -2)
     n = F.shape[-1]
     Z = np.empty((max(len(F), len(G), len(H)), 2 * n, 2 * n))
     Z[:, :n, :n], Z[:, :n, n:], Z[:, n:, :n], Z[:, n:, n:] = F, -G, -H, -F.swapaxes(-1, -2)
+    return Z, G
+
+
+def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
+    """Solution ``X`` of ``X B M B^T X - X F - F^T X - H = 0`` per slice of stacked coefficients: ``(X, errors)``.
+
+    Takes the stable invariant subspace ``[X1; X2]`` of the Hamiltonian
+    (:func:`_hamiltonian`) and forms ``X = X2 X1^-1``, so that ``F - B M
+    B^T X`` is Hurwitz. ``errors`` holds per slice ``None`` or the typed
+    error: what :func:`stable_subspace` raises, :class:`SingularX1` when
+    ``cond(X1)`` exceeds ``COND_MAX``, and :class:`NonRealResult` when ``X``
+    is not real. The ``X`` of a failed slice is meaningless.
+    """
+    Z, _ = _hamiltonian(F, B, M, H)
+    n = F.shape[-1]
     X1, X2, errors = _stable_subspaces(Z)
     cond = np.linalg.cond(X1)
     singular = [i for i, error in enumerate(errors) if error is not None or cond[i] > COND_MAX]
@@ -228,99 +222,6 @@ def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
         if errors[i] is None:
             errors[i] = error
     return np.ascontiguousarray(X.real), errors
-
-
-def riccati_residual(
-    F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Residual ``X B M B^T X - X F - F^T X - H`` of the Riccati equation at ``X``; any operand may be a stack."""
-    return X @ B @ M @ np.swapaxes(B, -1, -2) @ X - X @ F - np.swapaxes(F, -1, -2) @ X - H
-
-
-def _care_coefficients(A, C, V1, V12, V2_inv):
-    """``(F, B, M, H)`` of the filter CARE as :func:`riccati_solution` takes them; any operand may be a stack."""
-    return (
-        (A - V12 @ V2_inv @ C).swapaxes(-1, -2),
-        C.swapaxes(-1, -2),
-        V2_inv,
-        V1 - V12 @ V2_inv @ V12.swapaxes(-1, -2),
-    )
-
-
-def solve_care(
-    A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
-) -> KalmanDesign | list:
-    """Stabilizing solution of the steady-state filter Riccati equation.
-
-    Solves ``Abar Q + Q Abar^T - Q C^T V2^-1 C Q + V1 - V12 V2^-1 V12^T = 0``
-    with ``Abar = A - V12 V2^-1 C`` through :func:`riccati_solution` (with
-    ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
-    ``K = (Q C^T + V12) V2^-1`` and the filter matrix ``A_hat = A - K C``,
-    the one place that matrix is formed; the construction guarantees it is
-    Hurwitz whenever it succeeds. Raises :class:`DomainError` when the
-    measurement-noise intensity ``V2`` is not positive definite, or its
-    inverse or the coefficients built from it are not finite, and
-    :class:`NoStabilizingSolution` when the Riccati equation has no
-    stabilizing solution.
-
-    Any argument may be a stack of ``m`` equations, with a leading axis that
-    the others broadcast against. The call then returns a list of ``m``
-    outcomes, each the slice's :class:`KalmanDesign` or the typed error that
-    the call on that slice alone raises, and raises none itself. A single
-    call is the stack of one: only the Schur decomposition runs slice by
-    slice, and numpy's batched routines give each slice the bytes it has
-    alone.
-    """
-    args = [np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2)]
-    single = all(M.ndim == 2 for M in args)
-    A, C, V1, V12, V2 = (M if M.ndim == 3 else M[None] for M in args)
-    m = max(len(M) for M in (A, C, V1, V12, V2))
-    outcomes: list = [None] * m
-    try:
-        np.linalg.cholesky(V2)
-    except np.linalg.LinAlgError:
-        V2 = np.broadcast_to(V2, (m, *V2.shape[1:])).copy()
-        for i in range(m):
-            try:
-                np.linalg.cholesky(V2[i])
-            except np.linalg.LinAlgError:
-                outcomes[i] = DomainError("measurement-noise intensity V2 is not positive definite")
-                V2[i] = np.eye(V2.shape[-1])  # so that the other slices can be inverted
-    V2_inv = np.linalg.inv(V2)
-    coefficients = F, _, _, H = _care_coefficients(A, C, V1, V12, V2_inv)
-    if not (np.isfinite(V2_inv).all() and np.isfinite(F).all() and np.isfinite(H).all()):
-        finite = np.isfinite(V2_inv).all(axis=(-2, -1)) & np.isfinite(F).all(axis=(-2, -1))
-        finite &= np.isfinite(H).all(axis=(-2, -1))
-        for i in np.flatnonzero(~np.broadcast_to(finite, (m,))):
-            outcomes[i] = outcomes[i] or DomainError(
-                "measurement-noise intensity V2 is too near singular to invert in floating point"
-            )
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not live:
-        return single_outcome(outcomes) if single else outcomes
-    if len(live) < m:
-        A, C, V12, V2_inv, *coefficients = (
-            np.broadcast_to(X, (m, *X.shape[1:]))[live] for X in (A, C, V12, V2_inv, *coefficients)
-        )
-    Q, riccati_errors = _riccati_solutions(*coefficients)
-    Q = (Q + Q.swapaxes(-1, -2)) / 2.0
-    K = (Q @ C.swapaxes(-1, -2) + V12) @ V2_inv
-    A_hat = A - K @ C
-    finite = np.isfinite(A_hat).all(axis=(-2, -1))
-    worst = np.full(len(live), np.nan)  # a non-finite filter matrix is not stable either
-    worst[finite] = np.linalg.eigvals(A_hat[finite]).real.max(axis=-1)
-    residual = riccati_residual(*coefficients, Q)
-    for j, i in enumerate(live):
-        exc = riccati_errors[j]
-        if exc is not None:
-            outcomes[i] = NoStabilizingSolution(f"{type(exc).__name__}: {exc}")
-            outcomes[i].__cause__ = exc
-        elif not worst[j] < 0.0:
-            outcomes[i] = NoStabilizingSolution(f"filter pole with real part {worst[j]:.3e} is not stable")
-        else:
-            res = float(np.linalg.norm(residual[j]))
-            outcomes[i] = KalmanDesign(Q=Q[j], K=K[j], A_hat=A_hat[j], residual_norm=res)
-    return single_outcome(outcomes) if single else outcomes
 
 
 def _sign_stack(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,79 +253,159 @@ def _sign_stack(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W, converged
 
 
-def _finite_slices(ok: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
-    """``ok`` and-ed with the finiteness of each slice of ``stacks``, whose other slices are zeroed in place.
+def _sign_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
+    """:func:`_riccati_solutions` for symmetric ``M`` and ``H``, from the matrix sign ``W`` of each Hamiltonian.
 
-    Keeps the junk of a flagged slice out of the batched routines that
-    follow, which would raise for the whole stack on one non-finite slice.
+    ``[I; X]`` spans the stable subspace, the null space of ``W + I``, so
+    ``X`` is the least-squares solution of ``[W12; W22 + I] X = -[W11 + I;
+    W21]``, symmetrized. A slice gets a :class:`NoStabilizingSolution` for
+    the first check it fails: the Hamiltonian is finite and its sign
+    iteration (:func:`_sign_stack`) converged to a finite ``W``; ``X``, its
+    Riccati residual and the residual's terms are finite; the residual is at
+    most ``CHECK_RTOL`` times the summed norms of the terms; the Schur
+    route's ``X1`` would have ``cond(X1)^2 = (1 + max x^2) / (1 + min x^2)``,
+    ``x`` the eigenvalues of ``X``, at most ``SIGN_COND_MAX^2``. Beyond that
+    the imaginary residue the Schur basis leaves in ``X``, up to ``175 eps
+    cond(X1) max |X|`` over the 292 800 grid CAREs of perfbench's 4800 pool
+    plants, can make the realness check of :func:`_riccati_solutions` refuse
+    ``X`` (from ``cond(X1)`` near 3e4 on), so only that route can tell
+    whether such a slice succeeds.
     """
-    for S in stacks:
-        ok = ok & np.isfinite(S).all(axis=(-2, -1))
-    for S in stacks:
-        S[~ok] = 0.0
-    return ok
-
-
-def _solve_care_stack(
-    A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The filters of :func:`solve_care` for a stack ``V2`` of measurement-noise intensities.
-
-    The other arguments are one plant's matrices or stacks with one slice per
-    ``V2``, as :func:`solve_care` takes them, so one call scores the candidate
-    filters of many plants. Returns ``(K, A_hat, ok)``: the gains and filter
-    matrices of the slices, and which slices passed every check. Each CARE
-    is solved from the sign ``W`` of its Hamiltonian: ``[I; X]`` spans the
-    stable subspace, the null space of ``W + I``, so ``X`` is the
-    least-squares solution of ``[W12; W22 + I] X = -[W11 + I; W21]``. A
-    slice is ``ok`` when
-
-    * its ``V2`` has eigenvalues in the normal floating-point range, at
-      most ``1 / eps`` apart, and a finite inverse; the Hamiltonian, the
-      sign iteration and every product below are finite;
-    * its sign iteration converged (see :func:`_sign_stack`);
-    * its Riccati residual is at most ``CHECK_RTOL`` times the summed norms
-      of the residual's terms;
-    * the ``X1`` of the Schur route would have ``cond(X1)`` at most
-      ``SIGN_COND_MAX``; for symmetric ``X`` with eigenvalues ``x``,
-      ``cond(X1)^2 = (1 + max x^2) / (1 + min x^2)``. The Schur basis behind
-      :func:`solve_care` leaves an imaginary residue in ``X`` that grows
-      with ``cond(X1)``: up to ``175 eps cond(X1) max |X|`` over the 292 800
-      grid CAREs of perfbench's 4800 pool plants, so its realness check can
-      refuse ``X`` from ``cond(X1)`` near 3e4 on, and only
-      :func:`solve_care` can tell whether such a slice succeeds;
-    * ``A_hat`` is Hurwitz with :func:`solve_lyapunov`'s axis tolerance.
-
-    Gains of slices that are not ``ok`` are meaningless; no slice makes the
-    call raise.
-    """
-    A, C, V1, V12, V2 = (np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2))
-    n = A.shape[-1]
-    w = np.linalg.eigvalsh(np.where(np.isfinite(V2), V2, 0.0))
-    ok = (w[..., 0] >= np.finfo(float).tiny) & (w[..., 0] > np.finfo(float).eps * w[..., -1])
-    V2_inv = np.linalg.inv(np.where(ok[:, None, None], V2, np.eye(V2.shape[-1])))
-    F, B, M, H = _care_coefficients(A, C, V1, V12, V2_inv)
-    G = B @ M @ B.swapaxes(-1, -2)
-    Z = np.block([[F, -G], [-H, -np.swapaxes(F, -1, -2)]])
-    ok = _finite_slices(ok, Z)
+    Z, G = _hamiltonian(F, B, M, H)
+    n = F.shape[-1]
+    # a non-finite slice would make the batched routines raise for the whole stack; zeroed, it does not converge
+    Z[~np.isfinite(Z).all(axis=(-2, -1))] = 0.0
     W, converged = _sign_stack(Z)
-    ok = _finite_slices(ok & converged, W)
+    converged &= np.isfinite(W).all(axis=(-2, -1))
+    W[~converged] = 0.0
     W += np.eye(2 * n)  # W + I annihilates the stable subspace [I; X]
-    Q = -np.linalg.pinv(W[..., n:]) @ W[..., :n]
-    Q = (Q + np.swapaxes(Q, -1, -2)) / 2.0
-    residual = riccati_residual(F, B, M, H, Q)
-    terms = (Q @ G @ Q, 2.0 * Q @ F, H)
-    ok = _finite_slices(ok, Q, residual, *terms)
+    X = -np.linalg.pinv(W[..., n:]) @ W[..., :n]
+    X = (X + X.swapaxes(-1, -2)) / 2.0
+    residual = riccati_residual(F, B, M, H, X)
+    terms = (X @ G @ X, 2.0 * X @ F, H)
+    bounded = np.isfinite(H).all(axis=(-2, -1))
+    for T in (X, residual, *terms[:2]):
+        bounded = bounded & np.isfinite(T).all(axis=(-2, -1))
+    X[~bounded] = 0.0
     scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in terms)
-    ok &= np.linalg.norm(residual, axis=(-2, -1)) <= CHECK_RTOL * scale
-    x2 = np.linalg.eigvalsh(Q) ** 2
-    ok &= (1.0 + x2.max(axis=-1)) / (1.0 + x2.min(axis=-1)) <= SIGN_COND_MAX**2
+    x2 = np.linalg.eigvalsh(X) ** 2
+    checks = (
+        (converged, "Hamiltonian is not finite or its sign iteration did not converge"),
+        (bounded, "sign-function solution or its Riccati residual is not finite"),
+        (np.linalg.norm(residual, axis=(-2, -1)) <= CHECK_RTOL * scale, "Riccati residual exceeds CHECK_RTOL"),
+        ((1.0 + x2.max(axis=-1)) / (1.0 + x2.min(axis=-1)) <= SIGN_COND_MAX**2, "cond(X1) exceeds SIGN_COND_MAX"),
+    )
+    errors: list = [None] * len(Z)
+    for passed, message in reversed(checks):  # the first failed check's message stays
+        for i in np.flatnonzero(~passed):
+            errors[i] = NoStabilizingSolution(message)
+    return X, errors
+
+
+def riccati_residual(F: np.ndarray, B: np.ndarray, M: np.ndarray, H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Residual ``X B M B^T X - X F - F^T X - H`` of the Riccati equation at ``X``; any operand may be a stack."""
+    return X @ B @ M @ np.swapaxes(B, -1, -2) @ X - X @ F - np.swapaxes(F, -1, -2) @ X - H
+
+
+def _care_coefficients(A, C, V1, V12, V2_inv):
+    """``(F, B, M, H)`` of the filter CARE as :func:`_riccati_solutions` takes them; any operand may be a stack."""
+    return (
+        (A - V12 @ V2_inv @ C).swapaxes(-1, -2),
+        C.swapaxes(-1, -2),
+        V2_inv,
+        V1 - V12 @ V2_inv @ V12.swapaxes(-1, -2),
+    )
+
+
+def _filter_cares(solutions, A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """The body of :func:`solve_care` for stacks of arguments, with the solution step ``solutions``.
+
+    ``solutions`` is :func:`_riccati_solutions` or :func:`_sign_solutions`;
+    every other step is this one: the checks of the inputs and of ``V2``,
+    the coefficients, ``Q``, ``K``, ``A_hat = A - K C`` (formed nowhere
+    else) and the residual. Returns ``(Q, K, A_hat, residual_norm,
+    errors)``, one slice per equation; ``errors`` holds per slice ``None``
+    or the typed error of :func:`solve_care` but for its Hurwitz rule, which
+    the caller applies. The arrays of a failed slice are meaningless.
+    """
+    A, C, V1, V12, V2 = (M if M.ndim == 3 else M[None] for M in (A, C, V1, V12, V2))
+    m, p = max(len(M) for M in (A, C, V1, V12, V2)), C.shape[-2]
+    errors: list = [None] * m
+
+    def refuse(message: str, *stacks: np.ndarray, error: type = DomainError) -> None:
+        """Give each slice where ``stacks`` are not finite, and that has no error yet, ``error(message)``."""
+        finite = np.ones(m, dtype=bool)
+        for S in stacks:
+            finite &= np.isfinite(S).all(axis=(-2, -1))
+        for i in np.flatnonzero(~finite):
+            errors[i] = errors[i] or error(message)
+
+    try:
+        np.linalg.cholesky(V2)
+    except np.linalg.LinAlgError:
+        V2 = np.broadcast_to(V2, (m, p, p)).copy()
+        for i in range(m):
+            try:
+                np.linalg.cholesky(V2[i])
+            except np.linalg.LinAlgError:
+                errors[i] = errors[i] or DomainError("measurement-noise intensity V2 is not positive definite")
+                V2[i] = np.eye(p)  # so that the other slices can be inverted
+    V2_inv = np.linalg.inv(V2)
+    coefficients = F, _, _, H = _care_coefficients(A, C, V1, V12, V2_inv)
+    if not (np.isfinite(V2_inv).all() and np.isfinite(F).all() and np.isfinite(H).all()):
+        for name, M in zip(("A", "C", "V1", "V12", "V2"), (A, C, V1, V12, V2)):  # each reaches F, H or V2^-1
+            refuse(f"{name} is not finite", M)
+        refuse("measurement-noise intensity V2 is too near singular to invert in floating point", V2_inv, F, H)
+    X, solution_errors = solutions(*coefficients)  # the slices refused so far carry junk, which it flags or ignores
+    for i, exc in enumerate(solution_errors):
+        if errors[i] is None and exc is not None:
+            errors[i] = NoStabilizingSolution(f"{type(exc).__name__}: {exc}")
+            errors[i].__cause__ = exc
+    Q = (X + X.swapaxes(-1, -2)) / 2.0
     K = (Q @ C.swapaxes(-1, -2) + V12) @ V2_inv
     A_hat = A - K @ C
-    ok = _finite_slices(ok, K, A_hat)
-    poles = np.linalg.eigvals(A_hat)
-    ok &= np.max(poles.real, axis=-1) < -_axis_tolerance(poles)
-    return K, A_hat, ok
+    if not np.isfinite(A_hat).all():
+        refuse("filter matrix is not finite", A_hat, error=NoStabilizingSolution)
+    return Q, K, A_hat, np.linalg.norm(riccati_residual(*coefficients, Q), axis=(-2, -1)), errors
+
+
+def solve_care(
+    A: np.ndarray, C: np.ndarray, V1: np.ndarray, V12: np.ndarray, V2: np.ndarray,
+) -> KalmanDesign | list:
+    """Stabilizing solution of the steady-state filter Riccati equation.
+
+    Solves ``Abar Q + Q Abar^T - Q C^T V2^-1 C Q + V1 - V12 V2^-1 V12^T = 0``
+    with ``Abar = A - V12 V2^-1 C`` through :func:`_riccati_solutions` (with
+    ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
+    ``K = (Q C^T + V12) V2^-1`` and the Hurwitz filter matrix ``A_hat = A -
+    K C``, all in :func:`_filter_cares`. Raises :class:`DomainError` for
+    mismatched shapes, a non-finite input, or a measurement-noise intensity
+    ``V2`` that is not positive definite or too near singular to invert, and
+    :class:`NoStabilizingSolution` when the Riccati equation has no
+    stabilizing solution.
+
+    Any argument may be a stack of ``m`` equations, with a leading axis that
+    the others broadcast against. The call then returns a list of ``m``
+    outcomes, each the slice's :class:`KalmanDesign` or the typed error that
+    the call on that slice alone raises, and raises only for mismatched
+    shapes. A single call is the stack of one: only the Schur decomposition
+    runs slice by slice, and numpy's batched routines give each slice the
+    bytes it has alone.
+    """
+    args = [np.asarray(M, dtype=float) for M in (A, C, V1, V12, V2)]
+    n, p = (M.shape[-2] if M.ndim > 1 else -1 for M in args[:2])
+    shapes = [M.shape[-2:] if M.ndim in (2, 3) else M.shape for M in args]
+    if shapes != [(n, n), (p, n), (n, n), (n, p), (p, p)] or len({len(M) for M in args if M.ndim == 3} - {1}) > 1:
+        shapes = [M.shape for M in args]
+        raise DomainError(f"A, C, V1, V12, V2 must be (n, n), (p, n), (n, n), (n, p), (p, p) or stacks, got {shapes}")
+    Q, K, A_hat, residual_norm, outcomes = _filter_cares(_riccati_solutions, *args)
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    for i, worst in zip(live, np.linalg.eigvals(A_hat[live]).real.max(axis=-1)):
+        if worst < 0.0:
+            outcomes[i] = KalmanDesign(Q=Q[i], K=K[i], A_hat=A_hat[i], residual_norm=float(residual_norm[i]))
+        else:
+            outcomes[i] = NoStabilizingSolution(f"filter pole with real part {worst:.3e} is not stable")
+    return single_outcome(outcomes) if all(M.ndim == 2 for M in args) else outcomes
 
 
 def solve_lyapunov(A_e: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from qobs import (
     DomainError,
     HamiltonianCoupling,
     NoiseChannel,
+    NoStabilizingSolution,
     QobsError,
     canonical_theta,
     commutation_residual,
@@ -232,6 +233,10 @@ class TestAlgorithm2:
         assert any("rho=1e-200: DomainError: measurement-noise intensity V2 is not positive definite" in m for m in skips)
         assert any("rho=1e-161: DomainError: measurement-noise intensity V2 is too near singular" in m for m in skips)
 
+    def test_negative_candidate_is_refused_as_negative(self):
+        with pytest.raises(DomainError, match="must be non-negative, got -1.0"):
+            design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[-1.0, 0.0, 0.5])
+
     def test_empty_candidate_list_is_refused(self):
         with pytest.raises(DomainError, match="must be non-empty"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[])
@@ -338,18 +343,18 @@ class TestAlgorithm2:
         plant = make_cavity_plant(*co.S2, 10.0)
         grid = default_rho_grid()
         failed = grid[30]
-        stack = qobs.observers._solve_care_stack
+        solutions = qobs.observers._sign_solutions
 
         def one_slice_fails(*args):
-            K, A_hat, ok = stack(*args)
-            ok[29] = False  # the slice of grid[30]; grid[0] = 0 is not batched
-            return K, A_hat, ok
+            X, errors = solutions(*args)
+            errors[29] = NoStabilizingSolution("flagged")  # the slice of grid[30]; grid[0] = 0 is not batched
+            return X, errors
 
         with monkeypatch.context() as m:
             reference_only(m)
             _, _, reference = design_algorithm2(plant)
         calls = len(care_calls)
-        monkeypatch.setattr(qobs.observers, "_solve_care_stack", one_slice_fails)
+        monkeypatch.setattr(qobs.observers, "_sign_solutions", one_slice_fails)
         _, _, curve = design_algorithm2(plant)
         assert dict(curve)[failed] == dict(reference)[failed]
         V2 = qobs.observers._care_inputs(plant, failed)[4]
@@ -379,13 +384,13 @@ class TestAlgorithm2:
             rhos = default_rho_grid()[1:]
         n = plants[0].n_x
         singles = np.concatenate([qobs.observers._grid_traces([plant], rhos) for plant in plants])
-        stack, chunks = qobs.observers._solve_care_stack, []
+        body, chunks = qobs.observers._filter_cares, []
 
-        def counted(*args):
+        def counted(solutions, *args):
             chunks.append(len(args[4]) // len(rhos))
-            return stack(*args)
+            return body(solutions, *args)
 
-        monkeypatch.setattr(qobs.observers, "_solve_care_stack", counted)
+        monkeypatch.setattr(qobs.observers, "_filter_cares", counted)
         monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))
         traces = qobs.observers._grid_traces(plants, rhos)
         assert chunks == [2, 2, 1]
@@ -604,6 +609,13 @@ class TestEvaluatePerformance:
             twisted = dataclasses.replace(obs, B_v2=obs.B_v2 @ rot)
             again = evaluate_performance(plant, twisted).J_bar
             assert np.max(np.abs(again - ref)) < 1e-10
+
+    def test_bad_list_pairs_are_refused(self):
+        plant = make_cavity_plant(0.1, 0.1, 1.0)
+        obs = design_algorithm1(plant)
+        for plants, observers in (([plant, plant], [obs]), ([plant], [obs, obs]), ([], [])):
+            with pytest.raises(DomainError, match="as many observers as plants"):
+                evaluate_performance(plants, observers)
 
     @pytest.mark.parametrize("designer", [design_algorithm1, design_classical])
     def test_error_poles_always_stable(self, designer):

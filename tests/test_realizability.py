@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import cavity_oracle as co
 from qobs import (
+    DomainError,
     ImaginaryAxisEigenvalue,
     QobsError,
     SingularResolvent,
@@ -18,7 +19,7 @@ from qobs import (
     stilde,
     transfer_function_gap,
 )
-from qobs.realizability import _v2_intensity
+from qobs.realizability import _pairing_basis, _v2_intensity
 from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -129,6 +130,25 @@ def test_v2_intensity_is_the_gram_of_b_v2():
     # a filter that needs no B_v2 channels has none to add
     tf = skew_riccati_transform(-0.3 * np.eye(2), 0.1 * np.eye(2), np.eye(2), J)
     assert np.array_equal(_v2_intensity(tf.A_tilde, tf.B_tilde, tf.C_tilde, J), np.zeros((2, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("matrix", ["A_hat", "B_hat", "C_hat"])
+@pytest.mark.parametrize("routine", [skew_riccati_transform, augment_noise, min_vacuum_rank])
+def test_non_finite_filter_is_refused(routine, matrix, value):
+    # typed, where numpy used to raise an untyped ValueError or LinAlgError
+    filt = dict(zip(("A_hat", "B_hat", "C_hat"), (-0.1 * np.eye(2), 0.2 * np.eye(2), np.eye(2))))
+    filt[matrix] = filt[matrix].copy()
+    filt[matrix][1, 0] = value
+    with pytest.raises(DomainError):
+        routine(*filt.values(), J)
+
+
+def test_pairing_basis_is_built_once_read_only():
+    P = _pairing_basis(4)
+    assert P is _pairing_basis(4) and not P.flags.writeable
+    assert np.array_equal(P, np.kron(np.eye(2), np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)))
 
 
 class TestSkewRiccatiTransform:

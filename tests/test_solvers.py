@@ -1,5 +1,6 @@
 """Solver tests: Riccati via stable subspace, Lyapunov, covariance integration."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +20,11 @@ from qobs import (
     solve_lyapunov,
     stable_subspace,
 )
-from qobs.solvers import _solve_care_stack, _solve_lyapunov_stack, _stable_subspaces
+from qobs.errors import QobsError
+from qobs.observers import _grid_traces
+from qobs.solvers import (
+    _care_coefficients, _filter_cares, _not_hurwitz, _sign_solutions, _solve_lyapunov_stack, _stable_subspaces,
+)
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -57,6 +62,14 @@ def schur_blocks(Z):
             continue
         out.append((U[:n, :n], U[n:, :n], sdim))
     return out
+
+
+def grid_filters(A, C, V1, V12, V2):
+    """``(K, A_hat, ok)`` of the filters alg2's grid scores: the sign step in solve_care's body, its Hurwitz rule."""
+    _, K, A_hat, _, errors = _filter_cares(_sign_solutions, A, C, V1, V12, V2)
+    ok = np.array([error is None for error in errors])
+    ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
+    return K, A_hat, ok
 
 
 def cavity_noise_blocks(k1, k2, kn):
@@ -140,8 +153,39 @@ class TestSolveCare:
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, C, np.eye(2), np.zeros((2, 2)), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.eye(2), np.eye(2), np.eye(2), 0, np.eye(3)),
+            (np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(3)),
+            (np.eye(2), np.ones((2, 3)), np.eye(2), np.zeros((2, 2)), np.eye(2)),
+            (np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.stack([np.eye(2)] * 3)[:, :1]),
+            (np.stack([np.eye(2)] * 2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.stack([np.eye(2)] * 3)),
+            (np.eye(2)[None, None], np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2)),
+        ],
+        ids=["scalar-V12", "V2-3x3", "C-2x3", "V2-rows", "stack-lengths", "4-d-A"],
+    )
+    def test_mismatched_shapes_rejected(self, args):
+        with pytest.raises(DomainError, match="must be"):
+            solve_care(*args)
 
-class TestSolveCareStack:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["A", "C", "V1", "V12"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_is_named(self, name, value):
+        args = dict(zip(("A", "C", "V1", "V12", "V2"), cavity_noise_blocks(*co.S2, 10.0)))
+        args[name] = args[name].copy()
+        args[name][0, 0] = value
+        with pytest.raises(DomainError, match=f"^{name} is not finite$"):
+            solve_care(*args.values())
+        # in a stack only its own slice is refused
+        args[name] = np.stack([args[name], cavity_noise_blocks(*co.S2, 10.0)[list(args).index(name)]])
+        bad, good = solve_care(*args.values())
+        assert isinstance(bad, DomainError) and str(bad) == f"{name} is not finite"
+        assert good.K.tobytes() == solve_care(*cavity_noise_blocks(*co.S2, 10.0)).K.tobytes()
+
+
+class TestGridFilters:
     def test_matches_solve_care(self):
         # one random plant against a stack of measurement-noise intensities
         rng = np.random.default_rng(31)
@@ -150,21 +194,52 @@ class TestSolveCareStack:
             Bn, Dn = rng.normal(size=(n, n + p)), rng.normal(size=(p, n + p))
             V1, V12 = Bn @ Bn.T, Bn @ Dn.T
             V2 = np.stack([Dn @ Dn.T + r * r * np.eye(p) for r in (0.01, 0.3, 1.0, 10.0)])
-            K, A_hat, ok = _solve_care_stack(A, C, V1, V12, V2)
+            K, A_hat, ok = grid_filters(A, C, V1, V12, V2)
             assert ok.all()
             for k in range(len(V2)):
                 kd = solve_care(A, C, V1, V12, V2[k])
                 assert_allclose(K[k], kd.K, rtol=1e-9, atol=1e-12 * np.max(np.abs(kd.K)))
                 assert_allclose(A_hat[k], A - K[k] @ C, rtol=0.0, atol=0.0)
 
-    @pytest.mark.parametrize("A", [np.eye(2), J], ids=["undetectable", "imaginary-axis"])
+    @pytest.mark.parametrize(
+        "A", [np.eye(2), J, -1e-9 * np.eye(2)], ids=["undetectable", "imaginary-axis", "near-axis"]
+    )
     def test_failing_slices_are_flagged_not_raised(self, A):
         # what solve_care refuses with a typed error, the stack flags
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.eye(2))
         V2 = np.stack([np.eye(2), 4.0 * np.eye(2)])
-        _, _, ok = _solve_care_stack(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
+        _, _, ok = grid_filters(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
         assert not ok.any()
+        # and the grid itself leaves such a plant's candidates unscored
+        plant = dataclasses.replace(make_cavity_plant(*co.S2, 10.0), A=A, C=np.zeros((2, 2)))
+        assert np.isnan(_grid_traces([plant], [0.5, 2.0])).all()
+
+
+class TestSignSolutions:
+    def test_failing_slices_get_errors_not_a_raise(self):
+        # a good slice, one whose sign iteration does not converge (an
+        # imaginary-axis Hamiltonian) and one whose Hamiltonian overflows
+        good = _care_coefficients(*cavity_noise_blocks(*co.S2, 10.0)[:4], np.eye(2))
+        F, B, M, H = (np.stack([X, X, X]) for X in good)
+        F[1], B[1], H[1] = J, 0.0, 0.0
+        B[2] = 1e200 * np.eye(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X, errors = _sign_solutions(F, B, M, H)
+        assert errors[0] is None
+        assert all(isinstance(error, QobsError) for error in errors[1:])
+        message = "Hamiltonian is not finite or its sign iteration did not converge"
+        assert [str(error) for error in errors[1:]] == [message] * 2
+        X_alone, (error,) = _sign_solutions(*(X[None] for X in good))
+        assert error is None and X[0].tobytes() == X_alone[0].tobytes()
+
+    def test_residual_that_overflows_is_refused(self):
+        # a finite Hamiltonian and a finite X of about 1e100, whose residual
+        # X B M B^T X overflows at X B = 1e310
+        F, B, M, H = (np.full((1, 1, 1), c) for c in (-1.0, 1e210, 1e-320, 1e300))
+        with np.errstate(over="ignore"):
+            _, (error,) = _sign_solutions(F, B, M, H)
+        assert str(error) == "sign-function solution or its Riccati residual is not finite"
 
 
 class TestSolveLyapunovStack:
@@ -335,6 +410,13 @@ class TestStableSubspace:
         with pytest.raises(DomainError):
             stable_subspace(np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        Z = np.diag([-1.0, 1.0])
+        Z[0, 1] = value
+        with pytest.raises(DomainError, match="infs or NaNs"):
+            stable_subspace(Z)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stack_matches_scipy_schur(self, n):
         # Hamiltonians, whose spectra split evenly, and general matrices,
@@ -348,7 +430,7 @@ class TestStableSubspace:
         kinds = set()
         for i, reference in enumerate(schur_blocks(Z)):
             if isinstance(reference, Exception):
-                assert type(errors[i]) is type(reference) and str(errors[i]) == str(reference)
+                assert isinstance(errors[i], type(reference)) and str(errors[i]) == str(reference)
                 kinds.add(type(reference).__name__)
                 continue
             assert X1[i].tobytes() == reference[0].tobytes() and X2[i].tobytes() == reference[1].tobytes()
@@ -356,6 +438,7 @@ class TestStableSubspace:
             assert type(errors[i]).__name__ == ("NoneType" if reference[2] == n else "WrongSplitCount")
         assert kinds == {"ValueError", "WrongSplitCount", "NoneType"}
         assert str(errors[5]) == "array must not contain infs or NaNs"
+        assert type(errors[5]) is DomainError  # typed, where scipy.linalg.schur raises a ValueError
 
     def test_unbalanced_split_rejected(self):
         from qobs import WrongSplitCount
