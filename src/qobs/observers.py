@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, QobsError, on_successes, single_outcome
 from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
-from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _filter_cares, _not_hurwitz, _sign_solutions, solve_care
+from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _filter_cares, _not_hurwitz, solve_care
 from .solvers import _solve_lyapunov_stack
 from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
 
@@ -221,14 +221,16 @@ def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -
     filter, from its defect ``S_tilde`` alone: the error covariance reads
     ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so the
     noise intensity of :func:`error_system` is formed block by block. All
-    ``(plant, rho)`` slices go through one pass of :func:`_filter_cares`
-    with :func:`_sign_solutions`, whose filters must be Hurwitz as
-    :func:`_not_hurwitz` decides, and of :func:`_v2_intensity` and
-    :func:`_solve_lyapunov_stack`, in chunks of whole plants of about 1 MB
-    of working memory; each slice has the bytes it has alone. The traces
-    agree with the reference path's within ``GRID_RTOL`` relative on the
-    cavity and on perfbench's pool plants. NaN marks a candidate that failed
-    a check; only the reference path can score it or say why it fails.
+    ``(plant, rho)`` slices go through one pass of :func:`_filter_cares`,
+    the body of :func:`solve_care`, so each filter is the reference path's
+    to the bit; it must be Hurwitz as :func:`_not_hurwitz` decides, which
+    is stricter than :func:`solve_care`'s rule. Then one pass of
+    :func:`_v2_intensity` and :func:`_solve_lyapunov_stack`, in chunks of
+    whole plants of about 1 MB of working memory; each slice has the bytes
+    it has alone. The traces agree with the reference path's within
+    ``GRID_RTOL`` relative on the cavity and on perfbench's pool plants.
+    NaN marks a candidate that failed a check; only the reference path can
+    score it or say why it fails.
     """
     rhos = np.asarray(rhos, dtype=float)
     traces = np.full(len(plants) * len(rhos), np.nan)  # plant by plant
@@ -242,7 +244,7 @@ def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -
     for start in range(0, len(plants), chunk):
         group = plants[start : start + chunk]
         care = _care_inputs(group, np.tile(rhos, len(group)), len(rhos))
-        _, K, A_hat, _, errors = _filter_cares(_sign_solutions, *care)
+        _, K, A_hat, _, errors = _filter_cares(*care)
         ok = np.array([error is None for error in errors])
         ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
         if ok.any():
@@ -403,7 +405,10 @@ def design_algorithm2(
 
     The positive grid candidates are scored in one batched pass
     (:func:`_grid_traces`), which the stacked :func:`_design_alg2` runs over
-    the grids of all its plants at once. Every value that decides the
+    the grids of all its plants at once. The batch takes each candidate's
+    filter from :func:`solve_care`'s body, as the reference path does, so
+    its traces differ from the reference ones only through the formula for
+    the ``B_v2`` noise intensity. Every value that decides the
     answer goes through the reference path, which designs the candidate and
     runs :func:`evaluate_performance`: ``rho = 0``, whose trace is flat to
     round-off in ``rho``; each candidate the batch could not score; before

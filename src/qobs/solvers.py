@@ -5,29 +5,25 @@ the continuous Lyapunov equation is solved as a vectorized linear system. Both
 Riccati equations of the package, the filter CARE behind every observer and
 the skew Riccati equation of the state transformation, go through
 :func:`_riccati_solutions`: the stable invariant subspace ``[X1; X2]`` of the
-Hamiltonian matrix gives ``X = X2 X1^-1`` (the Schur method of Laub, IEEE TAC
-1979). A fixed-step RK4 integrator for the covariance flow, which composes
-its steps by powering the one-step map with matrix products alone, serves
-as an independent cross-check of the Lyapunov route.
+Hamiltonian matrix gives ``X = X2 X1^-1``. A fixed-step RK4 integrator for
+the covariance flow, which composes its steps by powering the one-step map
+with matrix products alone, serves as an independent cross-check of the
+Lyapunov route.
 
-The Schur route is a stack routine: :func:`solve_care` takes a stack of
-filter CAREs (one per plant, or per noise inflation) and returns one outcome
-per slice, the :class:`KalmanDesign` or the typed error that the slice alone
-raises; a single call is the stack of one. Only the Schur decomposition runs
-slice by slice (:func:`_stable_subspaces`), as one direct LAPACK ``gees``
-call per slice, the one ``scipy.linalg.schur`` makes, without that
-wrapper's per-call checks and workspace query; every other step is one
-batched numpy call, whose slices have the bytes they have alone, and every
-check runs per slice, so no slice makes the stack raise.
-:func:`solve_lyapunov` is likewise :func:`_solve_lyapunov_stack` on a stack
-of one.
-
-alg2's grid, one slice per ``(plant, rho)`` of all the plants a design
-runs on, goes through :func:`solve_care`'s body :func:`_filter_cares` with
-the solution step :func:`_sign_solutions`: the matrix sign function with
-determinant scaling (Roberts, Int. J. Control 1980; Byers, Linear Algebra
-Appl. 1987) in place of the Schur decomposition. A slice that fails a check
-is left to :func:`solve_care`, so that routine decides every failure.
+The Riccati route is a stack routine: :func:`solve_care` takes a stack of
+filter CAREs (one per plant, or per noise inflation; alg2's grid is one
+such stack) and returns one outcome per slice, the :class:`KalmanDesign` or
+the typed error that the slice alone raises; a single call is the stack of
+one. One ``np.linalg.eig`` call takes the basis of every slice from the
+eigenvectors (Potter, SIAM J. Appl. Math. 1966), and every check runs per
+slice. Only a slice that fails a check goes through the ordered Schur
+decomposition (the Schur method of Laub, IEEE TAC 1979) slice by slice
+(:func:`_stable_subspaces`), as one direct LAPACK ``gees`` call per slice,
+the one ``scipy.linalg.schur`` makes, without that wrapper's per-call
+checks and workspace query; that route decides the slice. Every other step
+is one batched numpy call, whose slices have the bytes they have alone, so
+no slice makes the stack raise. :func:`solve_lyapunov` is likewise
+:func:`_solve_lyapunov_stack` on a stack of one.
 """
 
 from __future__ import annotations
@@ -50,9 +46,6 @@ from .systems import (
     CHECK_RTOL,
     COND_MAX,
     EIG_SPLIT_RTOL,
-    SIGN_COND_MAX,
-    SIGN_MAX_ITER,
-    SIGN_RTOL,
     _nonreal_slices,
 )
 
@@ -197,18 +190,15 @@ def _hamiltonian(F, B, M, H) -> tuple[np.ndarray, np.ndarray]:
     return Z, G
 
 
-def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
-    """Solution ``X`` of ``X B M B^T X - X F - F^T X - H = 0`` per slice of stacked coefficients: ``(X, errors)``.
+def _schur_solutions(Z: np.ndarray) -> tuple[np.ndarray, list]:
+    """``X = X2 X1^-1`` from the ordered Schur basis of each Hamiltonian of a stack: ``(X, errors)``.
 
-    Takes the stable invariant subspace ``[X1; X2]`` of the Hamiltonian
-    (:func:`_hamiltonian`) and forms ``X = X2 X1^-1``, so that ``F - B M
-    B^T X`` is Hurwitz. ``errors`` holds per slice ``None`` or the typed
-    error: what :func:`stable_subspace` raises, :class:`SingularX1` when
-    ``cond(X1)`` exceeds ``COND_MAX``, and :class:`NonRealResult` when ``X``
-    is not real. The ``X`` of a failed slice is meaningless.
+    ``errors`` holds per slice ``None`` or the typed error: what
+    :func:`stable_subspace` raises, :class:`SingularX1` when ``cond(X1)``
+    exceeds ``COND_MAX``, and :class:`NonRealResult` when ``X`` is not real.
+    The ``X`` of a failed slice is meaningless.
     """
-    Z, _ = _hamiltonian(F, B, M, H)
-    n = F.shape[-1]
+    n = Z.shape[-1] // 2
     X1, X2, errors = _stable_subspaces(Z)
     cond = np.linalg.cond(X1)
     singular = [i for i, error in enumerate(errors) if error is not None or cond[i] > COND_MAX]
@@ -221,84 +211,55 @@ def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
     for i, error in enumerate(_nonreal_slices(X)):
         if errors[i] is None:
             errors[i] = error
-    return np.ascontiguousarray(X.real), errors
+    return X.real, errors
 
 
-def _sign_stack(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix sign of each slice of a stack, and which slices converged.
+@np.errstate(all="ignore")  # a slice that overflows is refused by the checks, without a warning
+def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
+    """Solution ``X`` of ``X G X - X F - F^T X - H = 0``, ``G = B M B^T``, per slice of stacked coefficients.
 
-    Newton's iteration ``Z <- (c Z + (c Z)^-1) / 2`` with the determinant
-    scaling ``c = |det Z|^(-1/N)`` for ``N x N`` slices. A slice has converged
-    when a step moves it by at most ``SIGN_RTOL`` relative to its 1-norm; one
-    that is singular, or not converged after ``SIGN_MAX_ITER`` steps, is not.
-    An eigenvalue on the imaginary axis keeps a slice from converging.
-    """
-    W = Z.copy()
-    N = Z.shape[-1]
-    live = np.arange(Z.shape[0])
-    converged = np.zeros(Z.shape[0], dtype=bool)
-    for _ in range(SIGN_MAX_ITER):
-        sign, logdet = np.linalg.slogdet(W[live])
-        regular = (sign != 0) & np.isfinite(logdet)
-        live, logdet = live[regular], logdet[regular]
-        if live.size == 0:
-            break
-        c = np.exp(-logdet / N)[:, None, None]
-        old = W[live]
-        W[live] = 0.5 * (c * old + np.linalg.inv(old) / c)
-        step = np.linalg.norm(W[live] - old, 1, axis=(-2, -1))
-        done = step <= SIGN_RTOL * np.linalg.norm(W[live], 1, axis=(-2, -1))
-        converged[live[done]] = True
-        live = live[~done]
-    return W, converged
-
-
-def _sign_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
-    """:func:`_riccati_solutions` for symmetric ``M`` and ``H``, from the matrix sign ``W`` of each Hamiltonian.
-
-    ``[I; X]`` spans the stable subspace, the null space of ``W + I``, so
-    ``X`` is the least-squares solution of ``[W12; W22 + I] X = -[W11 + I;
-    W21]``, symmetrized. A slice gets a :class:`NoStabilizingSolution` for
-    the first check it fails: the Hamiltonian is finite and its sign
-    iteration (:func:`_sign_stack`) converged to a finite ``W``; ``X``, its
-    Riccati residual and the residual's terms are finite; the residual is at
-    most ``CHECK_RTOL`` times the summed norms of the terms; the Schur
-    route's ``X1`` would have ``cond(X1)^2 = (1 + max x^2) / (1 + min x^2)``,
-    ``x`` the eigenvalues of ``X``, at most ``SIGN_COND_MAX^2``. Beyond that
-    the imaginary residue the Schur basis leaves in ``X``, up to ``175 eps
-    cond(X1) max |X|`` over the 292 800 grid CAREs of perfbench's 4800 pool
-    plants, can make the realness check of :func:`_riccati_solutions` refuse
-    ``X`` (from ``cond(X1)`` near 3e4 on), so only that route can tell
-    whether such a slice succeeds.
+    Returns ``(X, errors)``. The stable invariant subspace
+    ``[X1; X2]`` of the Hamiltonian (:func:`_hamiltonian`) gives ``X = X2
+    X1^-1``, so that ``F - G X`` is Hurwitz. One ``np.linalg.eig`` call on
+    the whole stack takes that basis as the eigenvectors of the ``n``
+    eigenvalues of least real part (Potter, SIAM J. Appl. Math. 1966). A
+    slice keeps that ``X`` if it passes every check: its Hamiltonian is
+    finite, no eigenvalue is within :func:`_axis_tolerance` of the
+    imaginary axis, exactly ``n`` are stable, ``cond(X1) <= COND_MAX``,
+    ``X`` is real by :func:`_nonreal_slices`, and the Riccati residual is
+    finite and at most ``CHECK_RTOL (||X G X|| + 2 ||X F|| + ||H||)``.
+    Every other slice, the non-finite ones as given, goes through the
+    ordered Schur basis of :func:`_schur_solutions` (Laub, IEEE TAC 1979),
+    which copes with defective and nearly repeated eigenvalues, and whose
+    verdict stands. ``errors`` holds per slice ``None`` or the typed error
+    of that route; the ``X`` of a failed slice is meaningless.
     """
     Z, G = _hamiltonian(F, B, M, H)
     n = F.shape[-1]
-    # a non-finite slice would make the batched routines raise for the whole stack; zeroed, it does not converge
-    Z[~np.isfinite(Z).all(axis=(-2, -1))] = 0.0
-    W, converged = _sign_stack(Z)
-    converged &= np.isfinite(W).all(axis=(-2, -1))
-    W[~converged] = 0.0
-    W += np.eye(2 * n)  # W + I annihilates the stable subspace [I; X]
-    X = -np.linalg.pinv(W[..., n:]) @ W[..., :n]
-    X = (X + X.swapaxes(-1, -2)) / 2.0
-    residual = riccati_residual(F, B, M, H, X)
-    terms = (X @ G @ X, 2.0 * X @ F, H)
-    bounded = np.isfinite(H).all(axis=(-2, -1))
-    for T in (X, residual, *terms[:2]):
-        bounded = bounded & np.isfinite(T).all(axis=(-2, -1))
-    X[~bounded] = 0.0
-    scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in terms)
-    x2 = np.linalg.eigvalsh(X) ** 2
-    checks = (
-        (converged, "Hamiltonian is not finite or its sign iteration did not converge"),
-        (bounded, "sign-function solution or its Riccati residual is not finite"),
-        (np.linalg.norm(residual, axis=(-2, -1)) <= CHECK_RTOL * scale, "Riccati residual exceeds CHECK_RTOL"),
-        ((1.0 + x2.max(axis=-1)) / (1.0 + x2.min(axis=-1)) <= SIGN_COND_MAX**2, "cond(X1) exceeds SIGN_COND_MAX"),
-    )
+    finite = np.isfinite(Z).all(axis=(-2, -1))
+    try:
+        eigvals, V = np.linalg.eig(np.where(finite[:, None, None], Z, 0.0))  # a non-finite slice makes eig raise
+    except np.linalg.LinAlgError:  # geev did not converge on a slice: the Schur route decides every slice
+        eigvals, V = np.full(Z.shape[:-1], np.nan), np.zeros(Z.shape)
+    # complex even where the whole stack's spectrum is real, so that a slice has the bytes it has alone
+    U = np.take_along_axis(V.astype(complex), np.argsort(eigvals.real, axis=-1)[:, None, :n], axis=-1)
+    X1 = U[:, :n]
+    ok = finite & (np.abs(eigvals.real).min(axis=-1) > _axis_tolerance(eigvals))
+    ok &= ((eigvals.real < 0.0).sum(axis=-1) == n) & (np.linalg.cond(X1) <= COND_MAX)
+    X1[~ok] = np.eye(n)  # so that the other slices can be inverted
+    X = U[:, n:] @ np.linalg.inv(X1)
+    ok &= np.array([error is None for error in _nonreal_slices(X)])
+    X = np.ascontiguousarray(X.real)
+    XGX, XF = X @ G @ X, X @ F
+    residual = np.linalg.norm(XGX - XF - F.swapaxes(-1, -2) @ X - H, axis=(-2, -1))
+    scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in (XGX, 2.0 * XF, H))
+    ok &= np.isfinite(residual) & (residual <= CHECK_RTOL * scale)
     errors: list = [None] * len(Z)
-    for passed, message in reversed(checks):  # the first failed check's message stays
-        for i in np.flatnonzero(~passed):
-            errors[i] = NoStabilizingSolution(message)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        X[redo], schur_errors = _schur_solutions(Z[redo])
+        for i, error in zip(redo, schur_errors):
+            errors[i] = error
     return X, errors
 
 
@@ -317,16 +278,16 @@ def _care_coefficients(A, C, V1, V12, V2_inv):
     )
 
 
-def _filter_cares(solutions, A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-    """The body of :func:`solve_care` for stacks of arguments, with the solution step ``solutions``.
+@np.errstate(all="ignore")  # a slice that overflows is refused by the checks, without a warning
+def _filter_cares(A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """The body of :func:`solve_care` for stacks of arguments.
 
-    ``solutions`` is :func:`_riccati_solutions` or :func:`_sign_solutions`;
-    every other step is this one: the checks of the inputs and of ``V2``,
-    the coefficients, ``Q``, ``K``, ``A_hat = A - K C`` (formed nowhere
-    else) and the residual. Returns ``(Q, K, A_hat, residual_norm,
-    errors)``, one slice per equation; ``errors`` holds per slice ``None``
-    or the typed error of :func:`solve_care` but for its Hurwitz rule, which
-    the caller applies. The arrays of a failed slice are meaningless.
+    The checks of the inputs and of ``V2``, the coefficients, ``Q`` from
+    :func:`_riccati_solutions`, ``K``, ``A_hat = A - K C`` (formed nowhere
+    else) and the residual at ``Q``. Returns ``(Q, K, A_hat, residual_norm, errors)``, one
+    slice per equation; ``errors`` holds per slice ``None`` or the typed
+    error of :func:`solve_care` but for its Hurwitz rule, which the caller
+    applies. The arrays of a failed slice are meaningless.
     """
     A, C, V1, V12, V2 = (M if M.ndim == 3 else M[None] for M in (A, C, V1, V12, V2))
     m, p = max(len(M) for M in (A, C, V1, V12, V2)), C.shape[-2]
@@ -356,7 +317,7 @@ def _filter_cares(solutions, A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray,
         for name, M in zip(("A", "C", "V1", "V12", "V2"), (A, C, V1, V12, V2)):  # each reaches F, H or V2^-1
             refuse(f"{name} is not finite", M)
         refuse("measurement-noise intensity V2 is too near singular to invert in floating point", V2_inv, F, H)
-    X, solution_errors = solutions(*coefficients)  # the slices refused so far carry junk, which it flags or ignores
+    X, solution_errors = _riccati_solutions(*coefficients)  # the slices refused so far carry junk, which it flags
     for i, exc in enumerate(solution_errors):
         if errors[i] is None and exc is not None:
             errors[i] = NoStabilizingSolution(f"{type(exc).__name__}: {exc}")
@@ -398,7 +359,7 @@ def solve_care(
     if shapes != [(n, n), (p, n), (n, n), (n, p), (p, p)] or len({len(M) for M in args if M.ndim == 3} - {1}) > 1:
         shapes = [M.shape for M in args]
         raise DomainError(f"A, C, V1, V12, V2 must be (n, n), (p, n), (n, n), (n, p), (p, p) or stacks, got {shapes}")
-    Q, K, A_hat, residual_norm, outcomes = _filter_cares(_riccati_solutions, *args)
+    Q, K, A_hat, residual_norm, outcomes = _filter_cares(*args)
     live = [i for i, outcome in enumerate(outcomes) if outcome is None]
     for i, worst in zip(live, np.linalg.eigvals(A_hat[live]).real.max(axis=-1)):
         if worst < 0.0:

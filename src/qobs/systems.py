@@ -49,18 +49,12 @@ IMAG_RESIDUE_RTOL = 1e-9
 EIG_SPLIT_RTOL = 1e-8
 #: numerical rank of ``i S_tilde / 4``, relative to the scale of the terms it is formed from
 RANK_RTOL = 1e-9
-#: a defect that must vanish: the skew part of X, T^T theta T - X, the `qobs check` residual
+#: a defect that must vanish: an eigenvector Riccati residual, the skew part of X, T^T theta T - X, `qobs check`
 CHECK_RTOL = 1e-8
 #: largest ``cond(X1)`` for which ``X = X2 X1^-1`` is formed
 COND_MAX = 1e12
 #: share of a column's largest entry below which no entry is its phase pivot
 PIVOT_RTOL = 1e-12
-#: relative step of the matrix sign iteration below which it has converged
-SIGN_RTOL = 1e-12
-#: largest ``cond(X1)`` of a batched CARE solution that stands in for the Schur route's
-SIGN_COND_MAX = 1e4
-#: sign-iteration steps after which a slice that has not converged is left to the Schur method
-SIGN_MAX_ITER = 50
 #: relative error allowed in a batch-scored alg2 grid trace; candidates this close to the best are re-scored
 GRID_RTOL = 1e-8
 

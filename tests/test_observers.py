@@ -40,7 +40,8 @@ from qobs import (
     transfer_function_gap,
 )
 from qobs.sweep import default_kn_grid
-from qobs.systems import GRID_RTOL
+from qobs.solvers import _care_coefficients, riccati_residual
+from qobs.systems import CHECK_RTOL, GRID_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
@@ -48,7 +49,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: every fourth default-grid point plus the transformation boundaries
 CAVITY_KNS = sorted(set(default_kn_grid()[::4]) | {69.0, 70.0, 909.0, 910.0})
 #: SHA-256 of alg2's answers (rho_opt, trace, J_bar bytes, skip log) on pool plant 0 of each perfbench stratum
-POOL_ALG2_SHA256 = "9f5ab82ff821acfd2d2ae311ed937539d7c9c9f8887bb08f612977589f26de63"
+POOL_ALG2_SHA256 = "42940f6f76b2782a0cbbffcfaf8522b0737bc406831ae1b0d3b8313b21af0141"
 
 
 @pytest.fixture(scope="module")
@@ -343,52 +344,64 @@ class TestAlgorithm2:
         plant = make_cavity_plant(*co.S2, 10.0)
         grid = default_rho_grid()
         failed = grid[30]
-        solutions = qobs.observers._sign_solutions
+        body = qobs.observers._filter_cares
 
         def one_slice_fails(*args):
-            X, errors = solutions(*args)
+            Q, K, A_hat, residual_norm, errors = body(*args)
             errors[29] = NoStabilizingSolution("flagged")  # the slice of grid[30]; grid[0] = 0 is not batched
-            return X, errors
+            return Q, K, A_hat, residual_norm, errors
 
         with monkeypatch.context() as m:
             reference_only(m)
             _, _, reference = design_algorithm2(plant)
         calls = len(care_calls)
-        monkeypatch.setattr(qobs.observers, "_sign_solutions", one_slice_fails)
+        monkeypatch.setattr(qobs.observers, "_filter_cares", one_slice_fails)
         _, _, curve = design_algorithm2(plant)
         assert dict(curve)[failed] == dict(reference)[failed]
         V2 = qobs.observers._care_inputs(plant, failed)[4]
         assert [np.array_equal(args[4], V2) for args in care_calls[calls:]].count(True) == 1
 
-    def test_slice_the_schur_route_fails_is_skipped_for_its_reason(self, perfbench_workloads, monkeypatch, caplog):
-        # on this pool plant the Schur route fails at rho = 100 with a
-        # non-real Riccati solution (cond(X1) = 5e7), where the sign function
-        # succeeds; the slice is left to the reference path, which decides
+    def test_ill_conditioned_schur_basis_is_scored(self, perfbench_workloads, monkeypatch, caplog):
+        # on pool plant 0 of stratum 12 at rho = 100 the Schur basis has
+        # cond(X1) = 5e7 and its X2 X1^-1 failed the realness check; the
+        # eigenvector basis solves it, and the grid and the reference path agree
         plant = perfbench_workloads.pool_plant(12, 0)
-        assert np.isnan(qobs.observers._grid_traces([plant], [100.0])).all()
-        batched, reference = design_both_ways(plant, monkeypatch, caplog)
+        (trace,) = qobs.observers._grid_traces([plant], [100.0])[0]
+        batched, reference = design_both_ways(plant, monkeypatch, caplog, [0.0, 100.0])
         assert_same_answer(batched, reference)
+        assert not batched[3]  # nothing skipped
+        assert_allclose(trace, reference[2][100.0], rtol=GRID_RTOL, atol=0.0)
+        assert_allclose(trace, 118900.78, rtol=1e-7)
+        # on pool plant 8 of stratum 6 at rho = 82.5, the Schur basis
+        # (cond(X1) = 1.8e8) left a Riccati residual of 457
+        plant = perfbench_workloads.pool_plant(6, 8)
+        A, C, V1, V12, V2 = qobs.observers._care_inputs(plant, 82.5)
+        kd = solve_care(A, C, V1, V12, V2)
+        F, B, M, H = _care_coefficients(A, C, V1, V12, np.linalg.inv(V2))
+        Q, norm = kd.Q, np.linalg.norm
+        # the scale of terms that do not cancel: H = V1 - V12 V2^-1 V12^T does
+        scale = norm(Q @ B @ M @ B.T @ Q) + 2.0 * norm(Q @ F) + norm(V1) + norm(V12 @ M @ V12.T)
+        assert norm(riccati_residual(F, B, M, H, Q)) <= CHECK_RTOL * scale
 
     @pytest.mark.parametrize("family", ["cavity", "pool"])
     def test_a_plant_list_is_scored_as_per_plant_calls(self, family, perfbench_workloads, monkeypatch):
         # the grid batch over many plants, cut into chunks of two plants here,
         # gives each plant's row the bytes of its own call, NaN slices
-        # included: V2 = rho^2 I is zero or too near singular on the D = 0
-        # cavity, and pool plant 0 of stratum 12 fails at rho = 100
+        # included: on the plant with D = 0, V2 = rho^2 I is zero for
+        # rho = 1e-200 and too near singular for rho = 1e-161
         if family == "cavity":
             plants = [make_cavity_plant(*co.S2, kn) for kn in (0.5, 10.0, 69.0, 70.0, 500.0)]
-            plants[1] = dataclasses.replace(plants[1], D=np.zeros((2, 4)))
-            rhos = [1e-200, 1e-161, *default_rho_grid()[1:]]
         else:
             plants = [perfbench_workloads.pool_plant(12, i) for i in range(5)]
-            rhos = default_rho_grid()[1:]
+        plants[1] = dataclasses.replace(plants[1], D=np.zeros_like(plants[1].D))
+        rhos = [1e-200, 1e-161, *default_rho_grid()[1:]]
         n = plants[0].n_x
         singles = np.concatenate([qobs.observers._grid_traces([plant], rhos) for plant in plants])
         body, chunks = qobs.observers._filter_cares, []
 
-        def counted(solutions, *args):
+        def counted(*args):
             chunks.append(len(args[4]) // len(rhos))
-            return body(solutions, *args)
+            return body(*args)
 
         monkeypatch.setattr(qobs.observers, "_filter_cares", counted)
         monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))

@@ -14,16 +14,18 @@ from qobs import (
     ImaginaryAxisEigenvalue,
     NoStabilizingSolution,
     NotHurwitz,
+    WrongSplitCount,
     integrate_covariance,
     make_cavity_plant,
     solve_care,
     solve_lyapunov,
     stable_subspace,
 )
-from qobs.errors import QobsError
 from qobs.observers import _grid_traces
+import qobs.solvers
 from qobs.solvers import (
-    _care_coefficients, _filter_cares, _not_hurwitz, _sign_solutions, _solve_lyapunov_stack, _stable_subspaces,
+    _care_coefficients, _filter_cares, _hamiltonian, _not_hurwitz, _riccati_solutions, _schur_solutions,
+    _solve_lyapunov_stack, _stable_subspaces,
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -65,8 +67,8 @@ def schur_blocks(Z):
 
 
 def grid_filters(A, C, V1, V12, V2):
-    """``(K, A_hat, ok)`` of the filters alg2's grid scores: the sign step in solve_care's body, its Hurwitz rule."""
-    _, K, A_hat, _, errors = _filter_cares(_sign_solutions, A, C, V1, V12, V2)
+    """``(K, A_hat, ok)`` of the filters alg2's grid scores: solve_care's body, with the grid's Hurwitz rule."""
+    _, K, A_hat, _, errors = _filter_cares(A, C, V1, V12, V2)
     ok = np.array([error is None for error in errors])
     ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
     return K, A_hat, ok
@@ -169,7 +171,7 @@ class TestSolveCare:
         with pytest.raises(DomainError, match="must be"):
             solve_care(*args)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # refused with the typed error alone, no RuntimeWarning first
     @pytest.mark.parametrize("name", ["A", "C", "V1", "V12"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_input_is_named(self, name, value):
@@ -198,8 +200,7 @@ class TestGridFilters:
             assert ok.all()
             for k in range(len(V2)):
                 kd = solve_care(A, C, V1, V12, V2[k])
-                assert_allclose(K[k], kd.K, rtol=1e-9, atol=1e-12 * np.max(np.abs(kd.K)))
-                assert_allclose(A_hat[k], A - K[k] @ C, rtol=0.0, atol=0.0)
+                assert K[k].tobytes() == kd.K.tobytes() and A_hat[k].tobytes() == kd.A_hat.tobytes()
 
     @pytest.mark.parametrize(
         "A", [np.eye(2), J, -1e-9 * np.eye(2)], ids=["undetectable", "imaginary-axis", "near-axis"]
@@ -216,30 +217,75 @@ class TestGridFilters:
         assert np.isnan(_grid_traces([plant], [0.5, 2.0])).all()
 
 
-class TestSignSolutions:
-    def test_failing_slices_get_errors_not_a_raise(self):
-        # a good slice, one whose sign iteration does not converge (an
-        # imaginary-axis Hamiltonian) and one whose Hamiltonian overflows
+@pytest.fixture
+def schur_stacks(monkeypatch):
+    """The length of each stack that the Riccati route leaves to the Schur loop."""
+    stacks = []
+
+    def counted(Z):
+        stacks.append(len(Z))
+        return _schur_solutions(Z)
+
+    monkeypatch.setattr(qobs.solvers, "_schur_solutions", counted)
+    return stacks
+
+
+class TestRiccatiSolutions:
+    @pytest.mark.filterwarnings("error")
+    def test_failing_slices_take_the_schur_route_and_get_errors_not_a_raise(self, schur_stacks):
+        # a good cavity slice, an imaginary-axis one, one whose Hamiltonian
+        # overflows, a Jordan block (F = [[-1, 1], [0, -1]], G = I, H = 0)
+        # whose eigenvector basis is singular to working precision, and one
+        # with one stable eigenvalue (-2) and three unstable
         good = _care_coefficients(*cavity_noise_blocks(*co.S2, 10.0)[:4], np.eye(2))
-        F, B, M, H = (np.stack([X, X, X]) for X in good)
+        F, B, M, H = (np.stack([X] * 5) for X in good)
         F[1], B[1], H[1] = J, 0.0, 0.0
         B[2] = 1e200 * np.eye(2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            X, errors = _sign_solutions(F, B, M, H)
-        assert errors[0] is None
-        assert all(isinstance(error, QobsError) for error in errors[1:])
-        message = "Hamiltonian is not finite or its sign iteration did not converge"
-        assert [str(error) for error in errors[1:]] == [message] * 2
-        X_alone, (error,) = _sign_solutions(*(X[None] for X in good))
+        F[3], B[3], M[3], H[3] = [[-1.0, 1.0], [0.0, -1.0]], np.eye(2), np.eye(2), 0.0
+        F[4], B[4] = [[1.0, 2.0], [-2.0, -1.0]], np.eye(2)
+        M[4], H[4] = [[-2.0, -1.0], [-1.0, -2.0]], [[2.0, -1.0], [2.0, 1.0]]
+        X, errors = _riccati_solutions(F, B, M, H)
+        assert schur_stacks == [4]  # the slices that fail a check, and only those
+        assert errors[0] is None and errors[3] is None
+        assert isinstance(errors[1], ImaginaryAxisEigenvalue) and isinstance(errors[4], WrongSplitCount)
+        assert type(errors[2]) is DomainError and str(errors[2]) == "array must not contain infs or NaNs"
+        Z = np.block([[F[3], -np.eye(2)], [np.zeros((2, 2)), -F[3].T]])
+        X_schur, (error,) = _schur_solutions(Z[None])
+        assert error is None and X[3].tobytes() == X_schur[0].tobytes()
+        assert_allclose(X[3], np.zeros((2, 2)), atol=1e-15)
+        X_alone, (error,) = _riccati_solutions(*(X[None] for X in good))
         assert error is None and X[0].tobytes() == X_alone[0].tobytes()
 
-    def test_residual_that_overflows_is_refused(self):
-        # a finite Hamiltonian and a finite X of about 1e100, whose residual
-        # X B M B^T X overflows at X B = 1e310
-        F, B, M, H = (np.full((1, 1, 1), c) for c in (-1.0, 1e210, 1e-320, 1e300))
-        with np.errstate(over="ignore"):
-            _, (error,) = _sign_solutions(F, B, M, H)
-        assert str(error) == "sign-function solution or its Riccati residual is not finite"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "F, H",
+        [
+            # H of round-off size, as where V1 - V12 V2^-1 V12^T cancels: X is
+            # as small, and the eigenvectors give it only to round-off
+            ([[-1.0, 0.3], [0.2, -2.0]], [[1e-17, 5e-18], [5e-18, 2e-17]]),
+            # X = 1e150, whose residual is finite but has an overflowing norm
+            ([[-1.0]], [[1e300]]),
+        ],
+        ids=["inaccurate", "overflowing"],
+    )
+    def test_solution_that_fails_the_residual_check_takes_the_schur_route(self, F, H, schur_stacks):
+        F, H = np.array([F]), np.array([H])
+        B = M = np.eye(len(F[0]))[None]
+        X, (error,) = _riccati_solutions(F, B, M, H)
+        X_schur, (schur_error,) = _schur_solutions(_hamiltonian(F, B, M, H)[0])
+        assert schur_stacks == [1] and error is schur_error is None and X.tobytes() == X_schur.tobytes()
+
+    def test_eig_that_does_not_converge_leaves_every_slice_to_the_schur_route(self, schur_stacks, monkeypatch):
+        good = _care_coefficients(*cavity_noise_blocks(*co.S2, 10.0)[:4], np.eye(2))
+        coefficients = [np.stack([X, 2.0 * X]) for X in good]
+
+        def no_convergence(Z):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        X, errors = _riccati_solutions(*coefficients)
+        X_schur, schur_errors = _schur_solutions(_hamiltonian(*coefficients)[0])
+        assert schur_stacks == [2] and errors == schur_errors == [None, None] and X.tobytes() == X_schur.tobytes()
 
 
 class TestSolveLyapunovStack:
@@ -441,8 +487,6 @@ class TestStableSubspace:
         assert type(errors[5]) is DomainError  # typed, where scipy.linalg.schur raises a ValueError
 
     def test_unbalanced_split_rejected(self):
-        from qobs import WrongSplitCount
-
         with pytest.raises(WrongSplitCount):
             stable_subspace(np.diag([-1.0, -2.0, -3.0, 1.0]))
 

@@ -1,5 +1,6 @@
 """Sweep harness and command-line interface tests."""
 
+import csv
 import hashlib
 import importlib
 import importlib.util
@@ -36,6 +37,7 @@ from qobs import (
 from qobs.cli import main
 from qobs.sweep import SCENARIOS, default_kn_grid
 
+DATA = Path(__file__).resolve().parent / "data"
 CSV_HEADER = (
     "k_n,alg1_trace,alg1_frob,alg1_nv2,alg2_trace,alg2_frob,alg2_rho,"
     "alg3_trace,alg3_frob,alg3_nv2,alg3_transformed,classical_trace,classical_frob"
@@ -43,9 +45,9 @@ CSV_HEADER = (
 
 #: SHA-256 of the default-grid CSV of each scenario, recorded with numpy 2.4.6 and scipy 1.17.1
 DEFAULT_CSV_SHA256 = {
-    "s1": "38585da44fb7da3f892aaf096077a501f1b3dc934c972d76ea10cb1743d74643",
-    "s2": "3ea2265fc0a6c36791e21626f93ccba30f188b1dc8a530ad05fe5baab2ec2552",
-    "s3": "6b025fa3c3120ec8f6c720af6780cc9fa343afaa4497e89f86c877160955f791",
+    "s1": "767b9520da011d284cf251015e0ad4019701de3d6eb553b40ad0d0dffac965f8",
+    "s2": "38ef0c1ee3b0c35a12544aa4e82dbcf56780c3d234c6ca72a61957bbf9bc62ff",
+    "s3": "c29a1db517b744351d696c1312cfb9ad45c0bf29ca189065e3adc6bbddf43d86",
 }
 
 
@@ -152,6 +154,23 @@ def test_default_grid_csv_bytes_are_pinned(scenario, default_sweeps, tmp_path):
         f"{scenario}: the default-grid CSV has SHA-256 {digest}; the pinned sum was recorded with"
         f" numpy 2.4.6 and scipy 1.17.1, and this run has numpy {np.__version__} and scipy {scipy.__version__}"
     )
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_CSV_SHA256))
+def test_default_grid_csv_is_within_tolerance_of_the_schur_route(scenario, default_sweeps, tmp_path):
+    # the stored CSVs were swept when every filter CARE took X from the
+    # ordered Schur basis; the eigenvector basis moves only the last bits,
+    # and alg2's rho where its trace is flat to round-off
+    out = tmp_path / f"{scenario}.csv"
+    emit_csv(default_sweeps[scenario], out)
+    rows, stored = (list(csv.DictReader(path.open())) for path in (out, DATA / f"default_grid_{scenario}.csv"))
+    assert len(rows) == len(stored) == len(default_kn_grid())
+    for row, ref in zip(rows, stored):
+        for name in ("k_n", "alg1_nv2", "alg3_nv2", "alg3_transformed"):
+            assert row[name] == ref[name], (row["k_n"], name)
+        for name in (name for name in CSV_HEADER.split(",") if name.endswith(("_trace", "_frob"))):
+            assert float(row[name]) == pytest.approx(float(ref[name]), rel=1e-12, abs=0.0), (row["k_n"], name)
+        assert float(row["alg2_trace"]) <= float(row["alg1_trace"])
 
 
 def single_call_row(scenario, k_n):

@@ -19,9 +19,6 @@ TABLE = {
     "CHECK_RTOL": 1e-8,
     "COND_MAX": 1e12,
     "PIVOT_RTOL": 1e-12,
-    "SIGN_RTOL": 1e-12,
-    "SIGN_COND_MAX": 1e4,
-    "SIGN_MAX_ITER": 50,
     "GRID_RTOL": 1e-8,
 }
 
