@@ -163,7 +163,8 @@ def test_default_grid_csv_is_within_tolerance_of_the_schur_route(scenario, defau
     # and alg2's rho where its trace is flat to round-off
     out = tmp_path / f"{scenario}.csv"
     emit_csv(default_sweeps[scenario], out)
-    rows, stored = (list(csv.DictReader(path.open())) for path in (out, DATA / f"default_grid_{scenario}.csv"))
+    paths = (out, DATA / f"default_grid_{scenario}.csv")
+    rows, stored = (list(csv.DictReader(path.read_text().splitlines())) for path in paths)
     assert len(rows) == len(stored) == len(default_kn_grid())
     for row, ref in zip(rows, stored):
         for name in ("k_n", "alg1_nv2", "alg3_nv2", "alg3_transformed"):
