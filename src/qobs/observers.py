@@ -9,11 +9,10 @@ physically realizable:
 * :func:`design_algorithm1` (``rho = 0``) adds the minimal extra vacuum
   channels.
 * :func:`design_algorithm2` searches ``rho`` for the augmented filter that
-  performs best against the true plant. The grids of all the plants it
-  designs are scored in one batched pass (:func:`_grid_traces`); the
-  candidates that decide the answer go through the per-candidate reference
-  path, design and :func:`evaluate_performance`, so the grid only steers
-  the search.
+  performs best against the true plant. One stacked scorer
+  (:func:`_alg2_traces`) scores every candidate of all the plants it
+  designs, with :func:`evaluate_performance`'s traces to the bit, and
+  observers are built only for the answers.
 * :func:`design_algorithm3` (``rho = 0``) re-coordinates the algorithm-1
   filter so that no ``B_v2`` channels are needed at all, and augments that
   filter as algorithm 1 does only when the transformation does not exist.
@@ -25,13 +24,13 @@ Each designer runs on a list of same-shape plants at once
 (:func:`_design_alg1`, :func:`_design_alg2`, :func:`_design_alg3`,
 :func:`_design_classical`), given their ``rho = 0`` filters, so one stacked
 solve serves alg1, alg2 and alg3; it returns one outcome per plant, the
-design or its typed error. The public designers run the stack of one. The
-reference path is stacked too: :func:`_kalman_step` is one
-:func:`solve_care` call, :func:`_augmented_designs` one
-:func:`augment_noise` call and :func:`evaluate_performance` one Lyapunov
-stack, and alg2 takes its steps on all plants in lockstep, one reference
-call per step over the plants that are still in it. alg3 transforms all
-its filters in one stacked :func:`skew_riccati_transform` call.
+design or its typed error. The public designers run the stack of one.
+:func:`_kalman_step` is one :func:`solve_care` call,
+:func:`_augmented_designs` one :func:`augment_noise` call and
+:func:`evaluate_performance` one Lyapunov stack; alg2 scores the grids of
+all its plants in one pass, chunked by whole plants, and takes each
+golden-section step on all of them in lockstep, one scorer call per step. alg3 transforms all its
+filters in one stacked :func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -46,10 +45,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, QobsError, on_successes, single_outcome
-from .realizability import TransformResult, _v2_intensity, augment_noise, skew_riccati_transform
-from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _filter_cares, _not_hurwitz, solve_care
+from .realizability import TransformResult, augment_noise, skew_riccati_transform
+from .solvers import KRON_CHUNK_BYTES, KalmanDesign, _filter_cares, _not_hurwitz, _unstable_filters, solve_care
 from .solvers import _solve_lyapunov_stack
-from .systems import GRID_RTOL, QuantumLinearSystem, field_gain
+from .systems import QuantumLinearSystem, canonical_theta
 
 logger = logging.getLogger(__name__)
 
@@ -135,45 +134,35 @@ class PerformanceReport:
     hurwitz_margin: float
 
 
-def _plant_matrices(plants, repeats: int = 1) -> tuple[np.ndarray, ...]:
-    """``(A, B, C, D, S_w)`` of a list of same-shape plants, each plant repeated in ``repeats`` consecutive slices.
+def _plant_matrices(plants: Sequence[QuantumLinearSystem]) -> tuple[np.ndarray, ...]:
+    """``(A, B, C, D, S_w)`` of a list of same-shape plants, one slice per plant.
 
     The matrices of the one plant, unstacked, if every entry is that plant.
     """
     if all(plant is plants[0] for plant in plants):
         return plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
-    stacks = (np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
-    return tuple(stacks) if repeats == 1 else tuple(np.repeat(M, repeats, axis=0) for M in stacks)
+    return tuple(np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
 
 
-def _care_inputs(plants, rho, repeats: int = 1) -> tuple[np.ndarray, ...]:
+def _care_inputs(matrices: tuple[np.ndarray, ...], rho) -> tuple[np.ndarray, ...]:
     """``(A, C, V1, V12, V2)`` of the Kalman filters against measurement noise ``V2 + rho^2 I``.
 
-    For one plant and one ``rho`` the matrices of its filter; for one plant
-    and an array of ``rho`` the same, with ``V2`` their stack. For a list of
-    same-shape plants, each in ``repeats`` consecutive slices (see
-    :func:`_plant_matrices`) and ``rho`` one number or one per slice, ``V2``
-    is a stack with one slice per slice, and so are the others unless every
-    entry is the same plant.
+    ``matrices`` are ``(A, B, C, D, S_w)`` as :func:`_plant_matrices` gives
+    them, unstacked or stacks; ``rho`` is one number, or an array with one
+    per slice, which makes ``V2`` a stack.
     """
-    if isinstance(plants, QuantumLinearSystem):
-        A, B, C, D, S_w = plants.A, plants.B, plants.C, plants.D, plants.ito.S
-    else:
-        rho = np.full(len(plants) * repeats, rho)
-        A, B, C, D, S_w = _plant_matrices(plants, repeats)
+    A, B, C, D, S_w = matrices
     B_t, D_t = B.swapaxes(-1, -2), D.swapaxes(-1, -2)
     V2 = D @ S_w @ D_t + np.multiply.outer(rho * rho, np.eye(C.shape[-2]))
     return A, C, B @ S_w @ B_t, B @ S_w @ D_t, V2
 
 
-def _kalman_step(plants, rho) -> KalmanDesign | list:
-    """The plants' Kalman filters designed against measurement noise ``V2 + rho^2 I``, in one :func:`solve_care` call.
+def _kalman_step(plants: Sequence[QuantumLinearSystem], rho) -> list:
+    """The outcomes of :func:`solve_care` for the plants' Kalman filters against measurement noise ``V2 + rho^2 I``.
 
-    For one plant its :class:`KalmanDesign`; for a list of plants (``rho``
-    one number, or one per plant) the list of outcomes of
-    :func:`solve_care`.
+    One call; ``rho`` is one number, or one per plant.
     """
-    return solve_care(*_care_inputs(plants, rho))
+    return solve_care(*_care_inputs(_plant_matrices(plants), np.full(len(plants), rho)))
 
 
 def _augmented_designs(plants: Sequence[QuantumLinearSystem], filters: list, provenances: Sequence[Provenance]) -> list:
@@ -213,61 +202,81 @@ def default_rho_grid() -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(-3.0, 2.0, 61)])
 
 
-def _grid_traces(plants: Sequence[QuantumLinearSystem], rhos: Sequence[float]) -> np.ndarray:
-    """Trace of the alg2 design of each plant at each ``rho`` (all positive), scored in one batched pass.
+def _alg2_traces(matrices: tuple[np.ndarray, ...], filters: list, items: Sequence[tuple[int, float]]) -> list:
+    """Trace of the alg2 design of each ``(plant, rho)`` item, or the typed error that design raises.
 
-    Returns one row per plant and one column per ``rho``. Scores what
-    :func:`evaluate_performance` would give each candidate's augmented
-    filter, from its defect ``S_tilde`` alone: the error covariance reads
-    ``B_v2`` only through ``B_v2 B_v2^T`` (:func:`_v2_intensity`), so the
-    noise intensity of :func:`error_system` is formed block by block. All
-    ``(plant, rho)`` slices go through one pass of :func:`_filter_cares`,
-    the body of :func:`solve_care`, so each filter is the reference path's
-    to the bit; it must be Hurwitz as :func:`_not_hurwitz` decides, which
-    is stricter than :func:`solve_care`'s rule. Then one pass of
-    :func:`_v2_intensity` and :func:`_solve_lyapunov_stack`, in chunks of
-    whole plants of about 1 MB of working memory; each slice has the bytes
-    it has alone. The traces agree with the reference path's within
-    ``GRID_RTOL`` relative on the cavity and on perfbench's pool plants.
-    NaN marks a candidate that failed a check; only the reference path can
-    score it or say why it fails.
+    ``matrices`` are the plants' :func:`_plant_matrices` and ``filters``
+    their ``rho = 0`` filters; an item names its plant by its index. Each
+    trace is :func:`evaluate_performance`'s of the observer that
+    :func:`_augmented_designs` builds from :func:`_kalman_step`'s filter at
+    that ``rho``, to the bit, and each error the one that path gives, but
+    no observer is built. The inflated filters come from one
+    :func:`_filter_cares` call; one ``eigvals`` call on the filter matrices
+    applies :func:`solve_care`'s stability rule and then
+    :func:`evaluate_performance`'s :func:`_not_hurwitz`; one
+    :func:`augment_noise` call gives the ``B_v2`` of the filters still in;
+    and :func:`_error_covariances` scores their error systems
+    ``B_e = [B - K D, -B_v1, -B_v2]``, as :func:`error_system` forms them.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    traces = np.full(len(plants) * len(rhos), np.nan)  # plant by plant
-    n = plants[0].n_x
-    C_hat, theta = np.eye(n), plants[0].theta
-    B_v1 = field_gain(theta, C_hat)
-    # a slice holds about ten arrays of its Hamiltonian's size at once; whole
-    # plants per chunk, so that about twice KRON_CHUNK_BYTES is live, as in
-    # _solve_lyapunov_stack
-    chunk = max(1, 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * n) ** 2 * len(rhos)))
-    for start in range(0, len(plants), chunk):
-        group = plants[start : start + chunk]
-        care = _care_inputs(group, np.tile(rhos, len(group)), len(rhos))
-        _, K, A_hat, _, errors = _filter_cares(*care)
-        ok = np.array([error is None for error in errors])
-        ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
-        if ok.any():
-            _, B, _, D, S_w = (M if M.ndim == 2 else M[ok] for M in _plant_matrices(group, len(rhos)))
-            K, A_hat = K[ok], A_hat[ok]
-            G = B - K @ D  # the plant-noise gain of _plant_noise_gain
-            N = G @ S_w @ np.swapaxes(G, -1, -2) + B_v1 @ B_v1.T + _v2_intensity(A_hat, K, C_hat, theta)
-            chunk_traces = traces[start * len(rhos) : (start + len(group)) * len(rhos)]
-            chunk_traces[ok] = np.trace(_solve_lyapunov_stack(A_hat, N), axis1=-2, axis2=-1)
-    return traces.reshape(len(plants), len(rhos))
+    if not items:
+        return []
+    owners = np.array([i for i, _ in items])
+    rhos = np.array([rho for _, rho in items])
+    A, B, C, D, S_w = (M if M.ndim == 2 else M[owners] for M in matrices)
+    n, p, n_w = A.shape[-1], C.shape[-2], B.shape[-1]
+    K, A_hat = np.empty((len(items), n, p)), np.empty((len(items), n, n))
+    outcomes: list = [None] * len(items)
+    for k in np.flatnonzero(rhos == 0.0):  # the given filter
+        kd = filters[items[k][0]]
+        if isinstance(kd, QobsError):
+            outcomes[k] = kd
+        else:
+            K[k], A_hat[k] = kd.K, kd.A_hat
+    inflated = np.flatnonzero(rhos != 0.0)
+    if inflated.size:
+        care = _care_inputs(tuple(M if M.ndim == 2 else M[inflated] for M in (A, B, C, D, S_w)), rhos[inflated])
+        _, K[inflated], A_hat[inflated], _, errors = _filter_cares(*care)
+        for k, error in zip(inflated, errors):
+            outcomes[k] = error
+    live = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    eigvals = np.linalg.eigvals(A_hat[live])
+    for k, unstable, not_hurwitz in zip(live, _unstable_filters(eigvals), _not_hurwitz(eigvals)):
+        outcomes[k] = unstable or not_hurwitz
+    live = [k for k in live if outcomes[k] is None]
+    if not live:
+        return outcomes
+    C_hat = np.eye(n)
+    augs = augment_noise(A_hat[live], K[live], C_hat, canonical_theta(n // 2))
+    B, D, S_w = (M if M.ndim == 2 else M[live] for M in (B, D, S_w))
+    gains = B - K[live] @ D  # the plant-noise gain of _plant_noise_gain
+    widths = np.array([aug.n_v2 for aug in augs])
+    groups = []
+    for width in np.unique(widths):
+        group = np.flatnonzero(widths == width)
+        B_v2 = np.array([augs[j].B_v2 for j in group])
+        B_v1 = np.broadcast_to(augs[0].B_v1, (len(group), *augs[0].B_v1.shape))
+        B_e = np.concatenate([gains[group], -B_v1, -B_v2], axis=-1)
+        w = B_e.shape[-1]
+        S_joint = np.broadcast_to(np.eye(w), (len(group), w, w)).copy()
+        S_joint[:, :n_w, :n_w] = S_w if S_w.ndim == 2 else S_w[group]
+        groups.append((group, B_e, S_joint))
+    _, traces = _error_covariances(A_hat[live], groups)
+    for k, trace in zip(live, traces.tolist()):
+        outcomes[k] = trace
+    return outcomes
 
 
 def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candidates: Sequence[float] | None) -> list:
     """:func:`design_algorithm2` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
 
     Every plant takes the steps of :func:`design_algorithm2` on its own
-    data, and the plants take each step in lockstep: each reference-path
-    round (``rho = 0`` and the candidates the batch could not score, each
-    round of near-tie re-scoring, each golden-section iteration) is one
-    stacked design and one stacked :func:`evaluate_performance` over the
-    points still in it. Each plant's set of reference-scored ``rho`` is the
-    one the plant gets alone: where ``c`` fails in a golden-section
-    iteration, the plant's ``d`` of that iteration is not kept.
+    data, and each step is one :func:`_alg2_traces` call over all plants:
+    the grid pass, in chunks of whole plants of about 1 MB of working
+    memory, then each golden-section iteration over the plants still in
+    it. Each plant's set of scored ``rho`` is the one the plant gets alone:
+    where ``c`` fails in a golden-section iteration, the plant's ``d`` of
+    that iteration is not kept. The returned observers are built in one
+    :func:`_kalman_step` and one :func:`_augmented_designs` call.
     """
     if rho_candidates is None:
         rho_candidates = default_rho_grid()
@@ -282,74 +291,31 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         raise DomainError("rho candidate list must include 0")
 
     m = len(plants)
-    scored: list[dict[float, tuple[float, CoherentObserver]]] = [{} for _ in range(m)]  # the reference path's
+    matrices = _plant_matrices(plants)
+    scored: list[dict[float, float]] = [{} for _ in range(m)]  # the grid's in ascending rho, then the others
     skipped: list[list[tuple[float, str]]] = [[] for _ in range(m)]
-
-    def score(items: list[tuple[int, float]]) -> list:
-        """``(trace, observer)`` of each ``(plant, rho)`` design through the reference path, or its error."""
-        kds = [filters[i] if rho == 0.0 else None for i, rho in items]
-        inflated = [k for k, (_, rho) in enumerate(items) if rho != 0.0]
-        if inflated:
-            rhos = np.array([items[k][1] for k in inflated])
-            for k, kd in zip(inflated, _kalman_step([plants[items[k][0]] for k in inflated], rhos)):
-                kds[k] = kd
-        group = [plants[i] for i, _ in items]
-        designs = _augmented_designs(group, kds, [Provenance("alg2", rho=rho) for _, rho in items])
-        reports = on_successes(
-            designs, lambda done: evaluate_performance([group[k] for k in done], [designs[k] for k in done])
-        )
-        return on_successes(reports, lambda done: [(reports[k].trace, designs[k]) for k in done])
-
-    def reference(items: list[tuple[int, float]]) -> list[float | None]:
-        """:func:`score` kept for each item, or ``None`` with the reason recorded where the design fails."""
-        traces = []
-        for (i, rho), outcome in zip(items, score(items)):
+    # a slice holds about ten arrays of its Hamiltonian's size at once; whole
+    # plants per chunk, so that about twice KRON_CHUNK_BYTES is live, as in
+    # _solve_lyapunov_stack
+    n = plants[0].n_x
+    chunk = max(1, 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * n) ** 2 * len(candidates)))
+    for start in range(0, m, chunk):
+        items = [(i, rho) for i in range(start, min(start + chunk, m)) for rho in candidates]
+        for (i, rho), outcome in zip(items, _alg2_traces(matrices, filters, items)):
             if isinstance(outcome, QobsError):
                 logger.debug("skipping rho=%g: %s: %s", rho, outcome.reason_code, outcome)
                 skipped[i].append((rho, f"{outcome.reason_code}: {outcome}"))
-                traces.append(None)
             else:
                 scored[i][rho] = outcome
-                traces.append(outcome[0])
-        return traces
 
-    # each grid: the batch's traces, and the reference path's where the batch has none
-    grid = _grid_traces(plants, candidates[1:]) if len(candidates) > 1 else np.empty((m, 0))
-    batches = [[np.nan, *row] for row in grid]
-    items = [(i, rho) for i in range(m) for rho, trace in zip(candidates, batches[i]) if np.isnan(trace)]
-    traces = dict(zip(items, reference(items)))
-    grids: list[dict[float, float]] = [{} for _ in range(m)]  # the candidates that scored, ascending
-    for i in range(m):
-        for rho, trace in zip(candidates, batches[i]):
-            trace = traces[i, rho] if np.isnan(trace) else float(trace)
-            if trace is not None:
-                grids[i][rho] = trace
-    # the bracket is formed around a reference-scored minimizer: re-score
-    # every batch trace that might, within its error, lie below it
-    best: list[float | None] = [None] * m
-    live = [i for i in range(m) if grids[i]]
-    while live:
-        items = []
-        for i in live:
-            grid = grids[i]
-            best[i] = min(grid, key=grid.get)
-            bound = grid[best[i]] + GRID_RTOL * abs(grid[best[i]])
-            items += [(i, rho) for rho, trace in grid.items() if trace <= bound and rho not in scored[i]]
-        for (i, rho), trace in zip(items, reference(items)):
-            if trace is None:
-                del grids[i][rho]
-            else:
-                grids[i][rho] = trace
-        live = sorted({i for i, _ in items if grids[i]})
-
-    # one golden-section pass around each bracket, 20 iterations in lockstep
+    # one golden-section pass around each grid minimizer, 20 iterations in lockstep
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     brackets = {}
     for i in range(m):
-        if not grids[i]:
+        if not scored[i]:
             continue
-        ordered = list(grids[i])
-        j = ordered.index(best[i])
+        ordered = list(scored[i])
+        j = ordered.index(min(scored[i], key=scored[i].get))
         a, b = ordered[max(j - 1, 0)], ordered[min(j + 1, len(ordered) - 1)]
         if b > a:
             brackets[i] = (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
@@ -359,7 +325,7 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         items = [
             (i, rho) for i, (_, _, c, d) in brackets.items() for rho in dict.fromkeys((c, d)) if rho not in scored[i]
         ]
-        outcomes = dict(zip(items, score(items)))
+        outcomes = dict(zip(items, _alg2_traces(matrices, filters, items)))
         for i, (a, b, c, d) in list(brackets.items()):
             # kept as if c were scored first and d only after c succeeded
             for rho in (c, d):
@@ -371,7 +337,7 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
                     scored[i][rho] = outcome
             if i not in brackets:
                 continue
-            if scored[i][c][0] < scored[i][d][0]:
+            if scored[i][c] < scored[i][d]:
                 b, d = d, c
                 c = b - inv_phi * (b - a)
             else:
@@ -379,15 +345,22 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
                 d = a + inv_phi * (b - a)
             brackets[i] = (a, b, c, d)
 
-    results: list = []
+    results: list = [None] * m
+    best = {}
     for i in range(m):
-        if not grids[i]:
+        if scored[i]:
+            best[i] = min(sorted(scored[i]), key=scored[i].get)
+        else:
             reasons = "; ".join(f"rho={r}: {msg}" for r, msg in skipped[i])
-            results.append(DomainError(f"every rho candidate failed ({reasons})"))
-            continue
-        rho_opt = min(sorted(scored[i]), key=lambda rho: scored[i][rho][0])
-        curve = sorted({**grids[i], **{rho: trace for rho, (trace, _) in scored[i].items()}}.items())
-        results.append((scored[i][rho_opt][1], rho_opt, curve))
+            results[i] = DomainError(f"every rho candidate failed ({reasons})")
+    inflated = [i for i in best if best[i] != 0.0]
+    kds = {}
+    if inflated:
+        kds = dict(zip(inflated, _kalman_step([plants[i] for i in inflated], [best[i] for i in inflated])))
+    provenances = [Provenance("alg2", rho=best[i]) for i in best]
+    designs = _augmented_designs([plants[i] for i in best], [kds.get(i, filters[i]) for i in best], provenances)
+    for i, obs in zip(best, designs):
+        results[i] = obs if isinstance(obs, QobsError) else (obs, best[i], sorted(scored[i].items()))
     return results
 
 
@@ -403,27 +376,16 @@ def design_algorithm2(
     whole call fails only if every candidate does). One golden-section pass
     (20 iterations) then sharpens the grid minimizer.
 
-    The positive grid candidates are scored in one batched pass
-    (:func:`_grid_traces`), which the stacked :func:`_design_alg2` runs over
-    the grids of all its plants at once. The batch takes each candidate's
-    filter from :func:`solve_care`'s body, as the reference path does, so
-    its traces differ from the reference ones only through the formula for
-    the ``B_v2`` noise intensity. Every value that decides the
-    answer goes through the reference path, which designs the candidate and
-    runs :func:`evaluate_performance`: ``rho = 0``, whose trace is flat to
-    round-off in ``rho``; each candidate the batch could not score; before
-    the bracket is formed, every candidate whose batch trace lies within
-    ``GRID_RTOL`` of the best reference trace, until none is left; and every
-    golden-section point. The bracket's centre is thus the reference path's
-    grid minimizer wherever the batch traces are within ``GRID_RTOL`` of
-    the reference ones. ``rho_opt`` is the best reference-scored value, so
-    the alg2 trace is at most the alg1 trace bit for bit. Each distinct
-    ``rho`` is scored once. The plant is the stack of one of
+    Every candidate, ``rho = 0`` included, is scored by :func:`_alg2_traces`,
+    whose trace is :func:`evaluate_performance`'s of that candidate's
+    observer to the bit, so the alg2 trace is at most the alg1 trace bit for
+    bit. Each distinct ``rho`` is scored once, and only the returned
+    observer is built. The plant is the stack of one of
     :func:`_design_alg2`, which designs many plants in lockstep.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding one
-    ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``; the traces of
-    batch-scored grid candidates carry the tolerance of :func:`_grid_traces`.
+    ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``; each trace
+    is :func:`evaluate_performance`'s of the design at that ``rho``.
     """
     return single_outcome(_design_alg2([plant], _kalman_step([plant], 0.0), rho_candidates))
 
@@ -510,8 +472,8 @@ def error_system(
     ``d(x - xi) = A_e (x - xi) dt + B_e d(noises)`` with all noise sources
     independent, so ``S_joint`` is block diagonal: the plant's intensity
     followed by identity blocks for each vacuum input of the observer.
-    :func:`_grid_traces` forms ``B_e S_joint B_e^T`` of a coherent observer
-    block by block, from the same plant-noise gain.
+    :func:`_alg2_traces` forms the same arrays for a stack of augmented
+    filters.
     """
     S_w = plant.ito.S
     if isinstance(observer, ClassicalObserver):
@@ -526,6 +488,22 @@ def error_system(
     S_joint = np.eye(B_e.shape[1])
     S_joint[: plant.n_w, : plant.n_w] = S_w
     return observer.A_hat, B_e, S_joint
+
+
+def _error_covariances(A_e: np.ndarray, groups: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Steady-state symmetrized error covariances ``J_bar`` of a stack of Hurwitz error systems, and their traces.
+
+    ``groups`` holds ``(slices, B_e, S_joint)``: the slices of ``A_e`` whose
+    noise gains ``B_e`` have one width, and the stacks of those gains and
+    their joint intensities. ``J_bar`` solves ``A_e J_bar + J_bar A_e^T +
+    B_e S_joint B_e^T = 0``. Both :func:`evaluate_performance` and alg2's
+    scorer :func:`_alg2_traces` score through here.
+    """
+    N = np.empty(A_e.shape)
+    for slices, B_e, S_joint in groups:
+        N[slices] = B_e @ S_joint @ B_e.swapaxes(-1, -2)
+    J_bar = _solve_lyapunov_stack(A_e, N)
+    return J_bar, J_bar.trace(axis1=-2, axis2=-1)
 
 
 def evaluate_performance(plant, observer) -> PerformanceReport | list:
@@ -552,23 +530,23 @@ def evaluate_performance(plant, observer) -> PerformanceReport | list:
     worst = eigvals.real.max(axis=-1)
 
     def report(done: list[int]) -> list[PerformanceReport]:
-        # B_e S_joint B_e^T, one matmul per group of observers with as many vacuum inputs
+        # one group of observers per number of vacuum inputs
         groups: dict[int, list[int]] = {}
         for j, k in enumerate(done):
             groups.setdefault(systems[k][1].shape[1], []).append(j)
-        N = np.empty((len(done), *A_e.shape[1:]))
-        for group in groups.values():
-            B_e = np.array([systems[done[j]][1] for j in group])
-            S_joint = np.array([systems[done[j]][2] for j in group])
-            N[group] = B_e @ S_joint @ B_e.swapaxes(-1, -2)
+        stacks = [
+            (group, np.array([systems[done[j]][1] for j in group]), np.array([systems[done[j]][2] for j in group]))
+            for group in groups.values()
+        ]
+        J_bars, traces = _error_covariances(A_e[done], stacks)
         return [
             PerformanceReport(
                 J_bar=J_bar,
-                trace=float(np.trace(J_bar)),
+                trace=trace,
                 frobenius=float(np.linalg.norm(J_bar)),
                 hurwitz_margin=-float(worst[k]),
             )
-            for k, J_bar in zip(done, _solve_lyapunov_stack(A_e[done], N))
+            for k, J_bar, trace in zip(done, J_bars, traces.tolist())
         ]
 
     outcomes = on_successes(_not_hurwitz(eigvals), report)

@@ -17,8 +17,6 @@ Both take a single filter or a stack of filters; for a stack they return
 one outcome per filter.
 
 Every extra gain (``B_v1``, ``B_v2``, ``B_v1_tilde``) is a :func:`.systems.field_gain`.
-:func:`_v2_intensity` gives ``B_v2 B_v2^T``, all that a covariance reads of
-``B_v2``, for a whole stack of filters without forming ``B_v2``.
 """
 
 from __future__ import annotations
@@ -60,11 +58,14 @@ def _skew_coefficients(A_hat, B_hat, C_hat):
 
     The equation is ``X B_hat theta_y B_hat^T X - X A_hat - A_hat^T X -
     C_hat^T theta_eta C_hat = 0``, the thetas sized to the input and output
-    fields. ``A_hat`` and ``B_hat`` may be stacks of filters.
+    fields. ``A_hat`` and ``B_hat`` may be stacks of filters. A non-finite
+    ``C_hat`` gives a NaN ``H``, which every caller refuses, without the
+    warnings of the product.
     """
     A_hat, B_hat, C_hat = (np.asarray(M, dtype=float) for M in (A_hat, B_hat, C_hat))
     th_eta = canonical_theta(C_hat.shape[0] / 2)
-    return A_hat, B_hat, canonical_theta(B_hat.shape[-1] / 2), C_hat.T @ th_eta @ C_hat
+    H = C_hat.T @ th_eta @ C_hat if np.isfinite(C_hat).all() else np.full((C_hat.shape[1],) * 2, np.nan)
+    return A_hat, B_hat, canonical_theta(B_hat.shape[-1] / 2), H
 
 
 def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -174,20 +175,6 @@ def augment_noise(
     B_v1 = field_gain(theta, C_hat)
     results = [AugmentResult(S_tilde=S, B_v1=B_v1, B_v2=G) for S, G in zip(S_t, B_v2)]
     return results[0] if single else results
-
-
-def _v2_intensity(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``B_v2 B_v2^T`` of :func:`augment_noise`'s ``B_v2``, without forming ``B_v2``.
-
-    ``B_v2 B_v2^T = theta |S_tilde| theta^T``, where ``|S_tilde|`` is eight
-    times the real part of the kept positive part ``sum_k lambda_k v_k v_k^H``
-    of ``i S_tilde / 4``: no ``W``, no phase pinning and no field gain. For
-    stacks of ``A_hat`` and ``B_hat`` it gives a stack.
-    """
-    theta = np.asarray(theta, dtype=float)
-    _, eigvals, eigvecs, keep = _defect_spectrum(A_hat, B_hat, C_hat, theta)
-    positive = np.where(keep, eigvals, 0.0)[..., None, :]
-    return theta @ (8.0 * ((eigvecs * positive) @ np.swapaxes(eigvecs.conj(), -1, -2)).real) @ theta.T
 
 
 @dataclass(frozen=True)

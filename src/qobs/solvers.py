@@ -279,15 +279,17 @@ def _care_coefficients(A, C, V1, V12, V2_inv):
 
 
 @np.errstate(all="ignore")  # a slice that overflows is refused by the checks, without a warning
-def _filter_cares(A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+def _filter_cares(A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, list]:
     """The body of :func:`solve_care` for stacks of arguments.
 
     The checks of the inputs and of ``V2``, the coefficients, ``Q`` from
-    :func:`_riccati_solutions`, ``K``, ``A_hat = A - K C`` (formed nowhere
-    else) and the residual at ``Q``. Returns ``(Q, K, A_hat, residual_norm, errors)``, one
-    slice per equation; ``errors`` holds per slice ``None`` or the typed
-    error of :func:`solve_care` but for its Hurwitz rule, which the caller
-    applies. The arrays of a failed slice are meaningless.
+    :func:`_riccati_solutions`, ``K`` and ``A_hat = A - K C`` (formed nowhere
+    else). Returns ``(Q, K, A_hat, coefficients, errors)``, one slice per
+    equation but for the coefficients ``(F, B, M, H)``, whose stacks may
+    have one slice for all; ``errors`` holds per slice ``None`` or the typed
+    error of :func:`solve_care` but for its stability rule
+    (:func:`_unstable_filters`), which the caller applies. The arrays of a
+    failed slice are meaningless.
     """
     A, C, V1, V12, V2 = (M if M.ndim == 3 else M[None] for M in (A, C, V1, V12, V2))
     m, p = max(len(M) for M in (A, C, V1, V12, V2)), C.shape[-2]
@@ -327,7 +329,15 @@ def _filter_cares(A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray
     A_hat = A - K @ C
     if not np.isfinite(A_hat).all():
         refuse("filter matrix is not finite", A_hat, error=NoStabilizingSolution)
-    return Q, K, A_hat, np.linalg.norm(riccati_residual(*coefficients, Q), axis=(-2, -1)), errors
+    return Q, K, A_hat, coefficients, errors
+
+
+def _unstable_filters(eigvals: np.ndarray) -> list:
+    """Per filter spectrum of a stack: ``None``, or :class:`NoStabilizingSolution` for a pole not left of the axis."""
+    return [
+        None if worst < 0.0 else NoStabilizingSolution(f"filter pole with real part {worst:.3e} is not stable")
+        for worst in eigvals.real.max(axis=-1)
+    ]
 
 
 def solve_care(
@@ -339,7 +349,8 @@ def solve_care(
     with ``Abar = A - V12 V2^-1 C`` through :func:`_riccati_solutions` (with
     ``F = Abar^T``, ``B = C^T``, ``M = V2^-1``), then forms the filter gain
     ``K = (Q C^T + V12) V2^-1`` and the Hurwitz filter matrix ``A_hat = A -
-    K C``, all in :func:`_filter_cares`. Raises :class:`DomainError` for
+    K C``, all in :func:`_filter_cares`, and the norm of the Riccati
+    residual at ``Q`` of each slice it returns. Raises :class:`DomainError` for
     mismatched shapes, a non-finite input, or a measurement-noise intensity
     ``V2`` that is not positive definite or too near singular to invert, and
     :class:`NoStabilizingSolution` when the Riccati equation has no
@@ -359,13 +370,17 @@ def solve_care(
     if shapes != [(n, n), (p, n), (n, n), (n, p), (p, p)] or len({len(M) for M in args if M.ndim == 3} - {1}) > 1:
         shapes = [M.shape for M in args]
         raise DomainError(f"A, C, V1, V12, V2 must be (n, n), (p, n), (n, n), (n, p), (p, p) or stacks, got {shapes}")
-    Q, K, A_hat, residual_norm, outcomes = _filter_cares(*args)
+    Q, K, A_hat, coefficients, outcomes = _filter_cares(*args)
     live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    for i, worst in zip(live, np.linalg.eigvals(A_hat[live]).real.max(axis=-1)):
-        if worst < 0.0:
-            outcomes[i] = KalmanDesign(Q=Q[i], K=K[i], A_hat=A_hat[i], residual_norm=float(residual_norm[i]))
-        else:
-            outcomes[i] = NoStabilizingSolution(f"filter pole with real part {worst:.3e} is not stable")
+    for i, error in zip(live, _unstable_filters(np.linalg.eigvals(A_hat[live]))):
+        outcomes[i] = error
+    kept = [i for i in live if outcomes[i] is None]
+    if len(kept) < len(outcomes):  # the residual is formed for the kept slices only
+        Q, K, A_hat = Q[kept], K[kept], A_hat[kept]
+        coefficients = tuple(M if len(M) == 1 else M[kept] for M in coefficients)
+    residual_norm = np.linalg.norm(riccati_residual(*coefficients, Q), axis=(-2, -1))
+    for j, i in enumerate(kept):
+        outcomes[i] = KalmanDesign(Q=Q[j], K=K[j], A_hat=A_hat[j], residual_norm=float(residual_norm[j]))
     return single_outcome(outcomes) if all(M.ndim == 2 for M in args) else outcomes
 
 

@@ -55,8 +55,6 @@ CHECK_RTOL = 1e-8
 COND_MAX = 1e12
 #: share of a column's largest entry below which no entry is its phase pivot
 PIVOT_RTOL = 1e-12
-#: relative error allowed in a batch-scored alg2 grid trace; candidates this close to the best are re-scored
-GRID_RTOL = 1e-8
 
 #: single-mode commutation block
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

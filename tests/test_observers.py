@@ -20,7 +20,6 @@ from qobs import (
     DomainError,
     HamiltonianCoupling,
     NoiseChannel,
-    NoStabilizingSolution,
     QobsError,
     canonical_theta,
     commutation_residual,
@@ -41,7 +40,7 @@ from qobs import (
 )
 from qobs.sweep import default_kn_grid
 from qobs.solvers import _care_coefficients, riccati_residual
-from qobs.systems import CHECK_RTOL, GRID_RTOL
+from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
@@ -65,36 +64,6 @@ def perfbench_workloads():
         sys.path.remove(str(PERFBENCH))
         del sys.modules[spec.name]
     return module
-
-
-def reference_only(monkeypatch):
-    """Make design_algorithm2 score every candidate through the reference path, as it did before the batch."""
-    monkeypatch.setattr(qobs.observers, "_grid_traces", lambda plants, rhos: np.full((len(plants), len(rhos)), np.nan))
-
-
-def design_both_ways(plant, monkeypatch, caplog, rho_candidates=None):
-    """``(batched, reference-only)`` results of design_algorithm2, each with its skip log."""
-    caplog.set_level(logging.DEBUG, logger="qobs.observers")
-    results = []
-    for patch in (False, True):
-        caplog.clear()
-        with monkeypatch.context() as m:
-            if patch:
-                reference_only(m)
-            obs, rho_opt, curve = design_algorithm2(plant, rho_candidates)
-        skips = [record.getMessage() for record in caplog.records]
-        results.append((evaluate_performance(plant, obs), rho_opt, dict(curve), skips))
-    return results
-
-
-def assert_same_answer(batched, reference):
-    """The answer of the batched run is the reference-only run's, bit for bit."""
-    (rep_b, rho_b, curve_b, skips_b), (rep_r, rho_r, curve_r, skips_r) = batched, reference
-    assert rho_b == rho_r
-    assert rep_b.trace == rep_r.trace
-    assert rep_b.J_bar.tobytes() == rep_r.J_bar.tobytes()
-    assert skips_b == skips_r
-    assert sorted(curve_b) == sorted(curve_r)
 
 
 def slices(args):
@@ -135,7 +104,7 @@ def augment_calls(monkeypatch):
 def test_kalman_design_holds_the_filter_matrix(rho):
     # solve_care forms A - K C once; the augmented observer holds that array
     plant = make_cavity_plant(*co.S2, 69.0)
-    kd = qobs.observers._kalman_step(plant, rho)
+    (kd,) = qobs.observers._kalman_step([plant], rho)
     assert kd.A_hat.tobytes() == (plant.A - kd.K @ plant.C).tobytes()
     provenance = qobs.observers.Provenance("alg2", rho=rho)
     assert qobs.observers._augmented_designs([plant], [kd], [provenance])[0].A_hat is kd.A_hat
@@ -220,19 +189,18 @@ class TestAlgorithm2:
         with pytest.raises(DomainError, match="finite squares"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[0.0, rho])
 
-    def test_candidate_whose_square_underflows_is_skipped(self, monkeypatch, caplog):
+    def test_candidate_whose_square_underflows_is_skipped(self, caplog):
         # with D = 0, V2 = rho^2 I: zero for rho = 1e-200, and a subnormal
-        # whose inverse overflows for rho = 1e-161; the batch flags both
-        # slices, and the reference path skips them for their reasons
+        # whose inverse overflows for rho = 1e-161; both are skipped for
+        # their reasons, as rho = 0 is
+        caplog.set_level(logging.DEBUG, logger="qobs.observers")
         plant = dataclasses.replace(make_cavity_plant(0.1, 0.1, 1.0), D=np.zeros((2, 4)))
-        candidates = [0.0, 1e-200, 1e-161, 0.1]
-        assert np.isnan(qobs.observers._grid_traces([plant], candidates[1:3])).all()
-        batched, reference = design_both_ways(plant, monkeypatch, caplog, candidates)
-        assert_same_answer(batched, reference)
-        assert batched[1] == 0.1
-        skips = batched[3]
-        assert any("rho=1e-200: DomainError: measurement-noise intensity V2 is not positive definite" in m for m in skips)
-        assert any("rho=1e-161: DomainError: measurement-noise intensity V2 is too near singular" in m for m in skips)
+        _, rho_opt, curve = design_algorithm2(plant, [0.0, 1e-200, 1e-161, 0.1])
+        assert rho_opt == 0.1 and [rho for rho, _ in curve] == [0.1]
+        skips = [record.getMessage() for record in caplog.records]
+        assert len(skips) == 3 and skips[0].startswith("skipping rho=0:")
+        assert "rho=1e-200: DomainError: measurement-noise intensity V2 is not positive definite" in skips[1]
+        assert "rho=1e-161: DomainError: measurement-noise intensity V2 is too near singular" in skips[2]
 
     def test_negative_candidate_is_refused_as_negative(self):
         with pytest.raises(DomainError, match="must be non-negative, got -1.0"):
@@ -269,36 +237,18 @@ class TestAlgorithm2:
         res = commutation_residual(obs.A_hat, gains, plant.theta, blocks)
         assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
 
-    def test_each_rho_is_designed_once(self, care_calls):
-        # the grid is batch-scored; rho = 0 (here also the grid minimizer) and
-        # the 21 golden-section points are designed, each once, though the
-        # golden-section pass carries one interior point forward per iteration
-        _, _, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
+    def test_each_rho_is_scored_once(self, monkeypatch, care_calls):
+        # the 61 positive grid candidates and the 21 golden-section points
+        # each go through the scorer's filter CARE once, though the
+        # golden-section pass carries one interior point forward per
+        # iteration; solve_care runs only for the rho = 0 filter and the
+        # returned observer
+        scored = counting(monkeypatch, "_filter_cares")
+        _, rho_opt, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
         assert len(curve) == len({rho for rho, _ in curve}) == 83
-        designed = {tuple(M.tobytes() for M in args) for args in care_calls}
-        assert len(care_calls) == len(designed) == 22
-
-    def test_batch_traces_within_the_tolerance_of_the_best_are_rescored(self, care_calls, monkeypatch):
-        # rho = 0 is the grid minimizer here; a batch trace within GRID_RTOL
-        # above its reference trace may hide a lower reference trace, so it
-        # is re-scored before the bracket is formed; one farther off is not
-        plant = make_cavity_plant(*co.S2, 69.0)
-        best = evaluate_performance(plant, design_algorithm1(plant)).trace
-        grid = default_rho_grid()
-        near, far = grid[1], grid[2]
-        grid_traces = qobs.observers._grid_traces
-
-        def perturbed(plants, rhos):
-            traces = grid_traces(plants, rhos)
-            traces[:, list(rhos).index(near)] = best * (1.0 + GRID_RTOL / 2.0)
-            traces[:, list(rhos).index(far)] = best * (1.0 + 2.0 * GRID_RTOL)
-            return traces
-
-        monkeypatch.setattr(qobs.observers, "_grid_traces", perturbed)
-        _, rho_opt, _ = design_algorithm2(plant)
-        assert rho_opt == 0.0
-        V2s = [qobs.observers._care_inputs(plant, rho)[4] for rho in (near, far)]
-        assert [sum(np.array_equal(args[4], V2) for args in care_calls) for V2 in V2s] == [1, 0]
+        designed = {tuple(M.tobytes() for M in args) for args in scored}
+        assert len(scored) == len(designed) == 82
+        assert len(care_calls) == 1 + (rho_opt != 0.0)
 
     def test_memory_stays_flat_on_a_large_plant(self, perfbench_workloads):
         # the batch's Kronecker operators are built in chunks: for the whole
@@ -314,68 +264,43 @@ class TestAlgorithm2:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
-    @pytest.mark.parametrize("scenario", [co.S1, co.S2, co.S3])
-    def test_batch_decides_as_the_reference_path_on_the_cavity(self, scenario, monkeypatch, caplog):
-        grid = default_rho_grid()
-        for kn in CAVITY_KNS:
-            plant = make_cavity_plant(*scenario, kn)
-            batched, reference = design_both_ways(plant, monkeypatch, caplog)
-            assert_same_answer(batched, reference)
-            (traces,) = qobs.observers._grid_traces([plant], grid[1:])
-            expected = np.array([reference[2][rho] for rho in grid[1:]])
-            assert_allclose(traces, expected, rtol=1e-10, atol=0.0)
+    @pytest.mark.parametrize("family", ["cavity", "pool"])
+    def test_every_curve_trace_is_the_trace_of_its_design(self, family, perfbench_workloads):
+        # each (rho, trace) of the curve is evaluate_performance's trace of
+        # the observer designed at that rho, bit for bit, so alg2's trace is
+        # at most alg1's bit for bit
+        if family == "cavity":
+            plants = [make_cavity_plant(*scenario, kn) for scenario in (co.S1, co.S2, co.S3) for kn in CAVITY_KNS]
+        else:
+            plants = [perfbench_workloads.pool_plant(stratum, 0) for stratum in range(len(perfbench_workloads.STRATA))]
+        for plant in plants:
+            obs, rho_opt, curve = design_algorithm2(plant)
+            rhos, traces = (list(column) for column in zip(*curve))
+            inflated = [rho for rho in rhos if rho != 0.0]
+            filters = qobs.observers._kalman_step([plant] * len(inflated), inflated)
+            provenances = [qobs.observers.Provenance("alg2", rho=rho) for rho in inflated]
+            designs = qobs.observers._augmented_designs([plant] * len(inflated), filters, provenances)
+            if 0.0 in rhos:
+                designs.insert(0, design_algorithm1(plant))
+            reports = evaluate_performance([plant] * len(designs), designs)
+            assert [report.trace for report in reports] == traces
+            alg2 = evaluate_performance(plant, obs).trace
+            assert alg2 == dict(curve)[rho_opt] == min(traces)
+            assert alg2 <= evaluate_performance(plant, design_algorithm1(plant)).trace
 
-    def test_batch_decides_as_the_reference_path_on_random_plants(self, perfbench_workloads, monkeypatch, caplog):
-        grid = default_rho_grid()
-        scored = 0
-        for stratum in range(len(perfbench_workloads.STRATA)):
-            plant = perfbench_workloads.pool_plant(stratum, 0)
-            batched, reference = design_both_ways(plant, monkeypatch, caplog)
-            assert_same_answer(batched, reference)
-            (traces,) = qobs.observers._grid_traces([plant], grid[1:])
-            ok = np.isfinite(traces)
-            expected = np.array([reference[2].get(rho, np.nan) for rho in grid[1:]])
-            assert not np.isnan(expected[ok]).any()  # no batch score where the reference path fails
-            assert_allclose(traces[ok], expected[ok], rtol=1e-8, atol=0.0)
-            scored += np.count_nonzero(ok)
-        assert scored >= 0.9 * 24 * (len(grid) - 1)  # the batch does score the grid
-
-    def test_failed_slice_takes_the_reference_path(self, care_calls, monkeypatch):
-        plant = make_cavity_plant(*co.S2, 10.0)
-        grid = default_rho_grid()
-        failed = grid[30]
-        body = qobs.observers._filter_cares
-
-        def one_slice_fails(*args):
-            Q, K, A_hat, residual_norm, errors = body(*args)
-            errors[29] = NoStabilizingSolution("flagged")  # the slice of grid[30]; grid[0] = 0 is not batched
-            return Q, K, A_hat, residual_norm, errors
-
-        with monkeypatch.context() as m:
-            reference_only(m)
-            _, _, reference = design_algorithm2(plant)
-        calls = len(care_calls)
-        monkeypatch.setattr(qobs.observers, "_filter_cares", one_slice_fails)
-        _, _, curve = design_algorithm2(plant)
-        assert dict(curve)[failed] == dict(reference)[failed]
-        V2 = qobs.observers._care_inputs(plant, failed)[4]
-        assert [np.array_equal(args[4], V2) for args in care_calls[calls:]].count(True) == 1
-
-    def test_ill_conditioned_schur_basis_is_scored(self, perfbench_workloads, monkeypatch, caplog):
+    def test_ill_conditioned_schur_basis_is_scored(self, perfbench_workloads, caplog):
         # on pool plant 0 of stratum 12 at rho = 100 the Schur basis has
         # cond(X1) = 5e7 and its X2 X1^-1 failed the realness check; the
-        # eigenvector basis solves it, and the grid and the reference path agree
+        # eigenvector basis solves it, and the candidate is scored
+        caplog.set_level(logging.DEBUG, logger="qobs.observers")
         plant = perfbench_workloads.pool_plant(12, 0)
-        (trace,) = qobs.observers._grid_traces([plant], [100.0])[0]
-        batched, reference = design_both_ways(plant, monkeypatch, caplog, [0.0, 100.0])
-        assert_same_answer(batched, reference)
-        assert not batched[3]  # nothing skipped
-        assert_allclose(trace, reference[2][100.0], rtol=GRID_RTOL, atol=0.0)
-        assert_allclose(trace, 118900.78, rtol=1e-7)
+        _, _, curve = design_algorithm2(plant, [0.0, 100.0])
+        assert not caplog.records  # nothing skipped
+        assert_allclose(dict(curve)[100.0], 118900.78, rtol=1e-7)
         # on pool plant 8 of stratum 6 at rho = 82.5, the Schur basis
         # (cond(X1) = 1.8e8) left a Riccati residual of 457
         plant = perfbench_workloads.pool_plant(6, 8)
-        A, C, V1, V12, V2 = qobs.observers._care_inputs(plant, 82.5)
+        A, C, V1, V12, V2 = qobs.observers._care_inputs(qobs.observers._plant_matrices([plant]), 82.5)
         kd = solve_care(A, C, V1, V12, V2)
         F, B, M, H = _care_coefficients(A, C, V1, V12, np.linalg.inv(V2))
         Q, norm = kd.Q, np.linalg.norm
@@ -385,31 +310,39 @@ class TestAlgorithm2:
 
     @pytest.mark.parametrize("family", ["cavity", "pool"])
     def test_a_plant_list_is_scored_as_per_plant_calls(self, family, perfbench_workloads, monkeypatch):
-        # the grid batch over many plants, cut into chunks of two plants here,
-        # gives each plant's row the bytes of its own call, NaN slices
-        # included: on the plant with D = 0, V2 = rho^2 I is zero for
-        # rho = 1e-200 and too near singular for rho = 1e-161
+        # alg2 over many plants, its grid pass cut into chunks of two plants
+        # here, gives each plant the answer of its own call to the bit,
+        # failing candidates included: on the plant with D = 0, V2 = rho^2 I
+        # is zero for rho = 0 and 1e-200, and too near singular for 1e-161
         if family == "cavity":
             plants = [make_cavity_plant(*co.S2, kn) for kn in (0.5, 10.0, 69.0, 70.0, 500.0)]
         else:
             plants = [perfbench_workloads.pool_plant(12, i) for i in range(5)]
         plants[1] = dataclasses.replace(plants[1], D=np.zeros_like(plants[1].D))
-        rhos = [1e-200, 1e-161, *default_rho_grid()[1:]]
-        n = plants[0].n_x
-        singles = np.concatenate([qobs.observers._grid_traces([plant], rhos) for plant in plants])
-        body, chunks = qobs.observers._filter_cares, []
+        rhos = [0.0, 1e-200, 1e-161, *default_rho_grid()[1:]]
+
+        def design(plants):
+            return qobs.observers._design_alg2(plants, qobs.observers._kalman_step(plants, 0.0), rhos)
+
+        def answer(outcome):
+            obs, rho_opt, curve = outcome
+            return rho_opt, curve, obs.A_hat.tobytes(), obs.B_hat.tobytes(), obs.B_v2.tobytes()
+
+        singles = [answer(out) for plant in plants for out in design([plant])]
+        n, body, slice_counts = plants[0].n_x, qobs.observers._filter_cares, []
 
         def counted(*args):
-            chunks.append(len(args[4]) // len(rhos))
+            slice_counts.append(len(args[4]))
             return body(*args)
 
         monkeypatch.setattr(qobs.observers, "_filter_cares", counted)
         monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))
-        traces = qobs.observers._grid_traces(plants, rhos)
-        assert chunks == [2, 2, 1]
-        assert traces.shape == (len(plants), len(rhos))
-        assert traces.tobytes() == singles.tobytes()
-        assert np.isnan(traces).any() and not np.isnan(traces).all()
+        stacked = [answer(out) for out in design(plants)]
+        inflated = len(rhos) - 1
+        assert slice_counts[:3] == [2 * inflated, 2 * inflated, inflated]  # the grid pass, two plants a chunk
+        assert max(slice_counts[3:]) <= 2 * len(plants)  # the golden-section rounds
+        assert stacked == singles
+        assert {0.0, 1e-200, 1e-161}.isdisjoint(dict(stacked[1][1]))
 
     def test_pool_answers_are_pinned(self, perfbench_workloads, caplog):
         # the hand check every performance change makes on the whole pool,
@@ -537,7 +470,7 @@ class TestClassical:
         kd = solve_care(plant.A, plant.C, plant.B @ S_w @ plant.B.T, plant.B @ S_w @ plant.D.T, V2)
         K = design_classical(plant).K
         assert np.array_equal(K, kd.K)
-        assert np.array_equal(K, qobs.observers._kalman_step(plant, 1.0).K)
+        assert np.array_equal(K, qobs.observers._kalman_step([plant], 1.0)[0].K)
 
     def test_vacuum_limit_gain_and_metric(self):
         plant = make_cavity_plant(0.1, 0.1, 0.0)

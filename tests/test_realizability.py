@@ -19,7 +19,7 @@ from qobs import (
     stilde,
     transfer_function_gap,
 )
-from qobs.realizability import _pairing_basis, _v2_intensity
+from qobs.realizability import _pairing_basis
 from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -115,24 +115,6 @@ class TestAugmentNoise:
         assert np.array_equal(first.B_v2, second.B_v2)
 
 
-def test_v2_intensity_is_the_gram_of_b_v2():
-    # B_v2 B_v2^T = theta |S_tilde| theta^T, for one filter and for a stack
-    by_shape = {}
-    for A_hat, B_hat, C_hat, theta in random_filter_triples(60):
-        B_v2 = augment_noise(A_hat, B_hat, C_hat, theta).B_v2
-        gram = _v2_intensity(A_hat, B_hat, C_hat, theta)
-        assert_allclose(gram, B_v2 @ B_v2.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(gram))))
-        by_shape.setdefault(B_hat.shape, []).append((A_hat, B_hat, theta, gram))
-    for shape, filters in by_shape.items():
-        A_hat, B_hat, theta, gram = (np.stack(column) for column in zip(*filters))
-        stacked = _v2_intensity(A_hat, B_hat, np.eye(shape[0]), theta[0])
-        assert_allclose(stacked, gram, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(gram))))
-    # a filter that needs no B_v2 channels has none to add
-    tf = skew_riccati_transform(-0.3 * np.eye(2), 0.1 * np.eye(2), np.eye(2), J)
-    assert np.array_equal(_v2_intensity(tf.A_tilde, tf.B_tilde, tf.C_tilde, J), np.zeros((2, 2)))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("matrix", ["A_hat", "B_hat", "C_hat"])
 @pytest.mark.parametrize("routine", [skew_riccati_transform, augment_noise, min_vacuum_rank])

@@ -21,7 +21,7 @@ from qobs import (
     solve_lyapunov,
     stable_subspace,
 )
-from qobs.observers import _grid_traces
+from qobs.observers import _alg2_traces, _kalman_step, _plant_matrices
 import qobs.solvers
 from qobs.solvers import (
     _care_coefficients, _filter_cares, _hamiltonian, _not_hurwitz, _riccati_solutions, _schur_solutions,
@@ -67,7 +67,7 @@ def schur_blocks(Z):
 
 
 def grid_filters(A, C, V1, V12, V2):
-    """``(K, A_hat, ok)`` of the filters alg2's grid scores: solve_care's body, with the grid's Hurwitz rule."""
+    """``(K, A_hat, ok)`` of the filters alg2's scorer scores: solve_care's body, then the Hurwitz rule."""
     _, K, A_hat, _, errors = _filter_cares(A, C, V1, V12, V2)
     ok = np.array([error is None for error in errors])
     ok[ok] = [error is None for error in _not_hurwitz(np.linalg.eigvals(A_hat[ok]))]
@@ -212,9 +212,10 @@ class TestGridFilters:
         V2 = np.stack([np.eye(2), 4.0 * np.eye(2)])
         _, _, ok = grid_filters(A, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), V2)
         assert not ok.any()
-        # and the grid itself leaves such a plant's candidates unscored
+        # and alg2's scorer gives each of such a plant's candidates that error
         plant = dataclasses.replace(make_cavity_plant(*co.S2, 10.0), A=A, C=np.zeros((2, 2)))
-        assert np.isnan(_grid_traces([plant], [0.5, 2.0])).all()
+        outcomes = _alg2_traces(_plant_matrices([plant]), _kalman_step([plant], 0.0), [(0, 0.0), (0, 0.5), (0, 2.0)])
+        assert all(isinstance(outcome, NoStabilizingSolution) for outcome in outcomes)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ TABLE = {
     "CHECK_RTOL": 1e-8,
     "COND_MAX": 1e12,
     "PIVOT_RTOL": 1e-12,
-    "GRID_RTOL": 1e-8,
 }
 
 
