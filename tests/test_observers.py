@@ -20,6 +20,7 @@ from qobs import (
     DomainError,
     HamiltonianCoupling,
     NoiseChannel,
+    NoStabilizingSolution,
     QobsError,
     canonical_theta,
     commutation_residual,
@@ -64,6 +65,37 @@ def perfbench_workloads():
         sys.path.remove(str(PERFBENCH))
         del sys.modules[spec.name]
     return module
+
+
+def reference_outcome(plant, rho):
+    """The trace of the alg2 design at ``rho``, or the ``"reason: message"`` of its error, designed and scored alone."""
+    (kd,) = qobs.observers._kalman_step([plant], rho)
+    (obs,) = qobs.observers._augmented_designs([plant], [kd], [qobs.observers.Provenance("alg2", rho=rho)])
+    try:
+        if isinstance(obs, QobsError):
+            raise obs
+        return evaluate_performance(plant, obs).trace
+    except QobsError as error:
+        return f"{error.reason_code}: {error}"
+
+
+def assert_decides_as_the_reference_path(plant, caplog):
+    """design_algorithm2's answer and skip log are the reference path's, which designs and scores each candidate alone.
+
+    Returns the number of positive grid candidates scored.
+    """
+    caplog.set_level(logging.DEBUG, logger="qobs.observers")
+    caplog.clear()
+    obs, rho_opt, curve = design_algorithm2(plant)
+    skips = [record.getMessage() for record in caplog.records]
+    grid = default_rho_grid()
+    reference = {rho: reference_outcome(plant, rho) for rho in sorted({*grid.tolist(), *dict(curve)})}
+    scored = {rho: outcome for rho, outcome in reference.items() if not isinstance(outcome, str)}
+    assert curve == sorted(scored.items())
+    assert skips == [f"skipping rho={rho:g}: {outcome}" for rho, outcome in reference.items() if isinstance(outcome, str)]
+    assert rho_opt == min(sorted(scored), key=scored.get)
+    assert evaluate_performance(plant, obs).trace == scored[rho_opt]
+    return sum(rho in scored for rho in grid[1:].tolist())
 
 
 def slices(args):
@@ -287,6 +319,40 @@ class TestAlgorithm2:
             alg2 = evaluate_performance(plant, obs).trace
             assert alg2 == dict(curve)[rho_opt] == min(traces)
             assert alg2 <= evaluate_performance(plant, design_algorithm1(plant)).trace
+
+    @pytest.mark.parametrize("scenario", [co.S1, co.S2, co.S3])
+    def test_batch_decides_as_the_reference_path_on_the_cavity(self, scenario, caplog):
+        for kn in CAVITY_KNS:
+            assert_decides_as_the_reference_path(make_cavity_plant(*scenario, kn), caplog)
+
+    def test_batch_decides_as_the_reference_path_on_random_plants(self, perfbench_workloads, caplog):
+        scored = 0
+        for stratum in range(len(perfbench_workloads.STRATA)):
+            scored += assert_decides_as_the_reference_path(perfbench_workloads.pool_plant(stratum, 0), caplog)
+        assert scored >= 0.9 * 24 * (len(default_rho_grid()) - 1)  # the batch does score the grid
+
+    def test_failed_slice_is_skipped_with_its_error(self, monkeypatch, caplog):
+        # a grid slice that the filter CARE flags is skipped with its error,
+        # and the other grid candidates keep their traces
+        caplog.set_level(logging.DEBUG, logger="qobs.observers")
+        plant = make_cavity_plant(*co.S2, 10.0)
+        grid = default_rho_grid().tolist()
+        failed = grid[30]
+        _, _, unflagged = design_algorithm2(plant)
+        assert not caplog.records
+        body = qobs.observers._filter_cares
+
+        def one_slice_fails(*args):
+            Q, K, A_hat, coefficients, errors = body(*args)
+            if len(errors) == len(grid) - 1:  # the grid pass; grid[0] = 0 takes the given filter
+                errors[29] = NoStabilizingSolution("flagged")
+            return Q, K, A_hat, coefficients, errors
+
+        monkeypatch.setattr(qobs.observers, "_filter_cares", one_slice_fails)
+        _, _, curve = design_algorithm2(plant)
+        assert [record.getMessage() for record in caplog.records] == [f"skipping rho={failed:g}: NoStabilizingSolution: flagged"]
+        on_grid = {rho: trace for rho, trace in unflagged if rho in grid and rho != failed}
+        assert {rho: trace for rho, trace in curve if rho in grid} == on_grid
 
     def test_ill_conditioned_schur_basis_is_scored(self, perfbench_workloads, caplog):
         # on pool plant 0 of stratum 12 at rho = 100 the Schur basis has
