@@ -28,9 +28,10 @@ design or its typed error. The public designers run the stack of one.
 :func:`_kalman_step` is one :func:`solve_care` call,
 :func:`_augmented_designs` one :func:`augment_noise` call and
 :func:`evaluate_performance` one Lyapunov stack; alg2 scores the grids of
-all its plants in one pass, chunked by whole plants, and takes each
-golden-section step on all of them in lockstep, one scorer call per step. alg3 transforms all its
-filters in one stacked :func:`skew_riccati_transform` call.
+all its plants in one pass, chunked by whole plants, and takes the
+golden-section steps on all of them in lockstep, two iterations per scorer
+call. alg3 transforms all its filters in one stacked
+:func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -272,11 +273,13 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
     Every plant takes the steps of :func:`design_algorithm2` on its own
     data, and each step is one :func:`_alg2_traces` call over all plants:
     the grid pass, in chunks of whole plants of about 1 MB of working
-    memory, then each golden-section iteration over the plants still in
-    it. Each plant's set of scored ``rho`` is the one the plant gets alone:
-    where ``c`` fails in a golden-section iteration, the plant's ``d`` of
-    that iteration is not kept. The returned observers are built in one
-    :func:`_kalman_step` and one :func:`_augmented_designs` call.
+    memory, then each pair of golden-section iterations over the plants
+    still in it: the call also scores the second iteration's new point for
+    either outcome of the first, and the point on the branch not taken is
+    dropped. Each plant's set of kept ``rho`` is the one the plant gets
+    alone: where ``c`` fails in a golden-section iteration, the plant's
+    ``d`` of that iteration is not kept. The returned observers are built in
+    one :func:`_kalman_step` and one :func:`_augmented_designs` call.
     """
     if rho_candidates is None:
         rho_candidates = default_rho_grid()
@@ -308,8 +311,16 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
             else:
                 scored[i][rho] = outcome
 
-    # one golden-section pass around each grid minimizer, 20 iterations in lockstep
+    # one golden-section pass around each grid minimizer, 20 iterations in
+    # lockstep, two per scorer call: each call also scores the next
+    # iteration's new point for either outcome of the comparison, and only
+    # the one on the branch taken is kept
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def narrow(a, b, c, d, left):
+        """The bracket after one step: ``[a, d]`` if ``left``, else ``[c, b]``, with one new interior point."""
+        return (a, d, d - inv_phi * (d - a), c) if left else (c, b, d, c + inv_phi * (b - c))
+
     brackets = {}
     for i in range(m):
         if not scored[i]:
@@ -319,31 +330,30 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         a, b = ordered[max(j - 1, 0)], ordered[min(j + 1, len(ordered) - 1)]
         if b > a:
             brackets[i] = (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
-    for _ in range(20):
+    for _ in range(20 // 2):
         if not brackets:
             break
-        items = [
-            (i, rho) for i, (_, _, c, d) in brackets.items() for rho in dict.fromkeys((c, d)) if rho not in scored[i]
-        ]
+        items = list(dict.fromkeys(
+            (i, rho)
+            for i, (a, b, c, d) in brackets.items()
+            for rho in (c, d, narrow(a, b, c, d, True)[2], narrow(a, b, c, d, False)[3])
+            if rho not in scored[i]
+        ))
         outcomes = dict(zip(items, _alg2_traces(matrices, filters, items)))
-        for i, (a, b, c, d) in list(brackets.items()):
-            # kept as if c were scored first and d only after c succeeded
-            for rho in (c, d):
-                outcome = outcomes.get((i, rho))
-                if isinstance(outcome, QobsError):
-                    del brackets[i]
+        for i in list(brackets):
+            for _ in range(2):
+                a, b, c, d = brackets[i]
+                # kept as if c were scored first and d only after c succeeded
+                for rho in (c, d):
+                    outcome = outcomes.get((i, rho))
+                    if isinstance(outcome, QobsError):
+                        del brackets[i]
+                        break
+                    if outcome is not None:
+                        scored[i][rho] = outcome
+                if i not in brackets:
                     break
-                if outcome is not None:
-                    scored[i][rho] = outcome
-            if i not in brackets:
-                continue
-            if scored[i][c] < scored[i][d]:
-                b, d = d, c
-                c = b - inv_phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + inv_phi * (b - a)
-            brackets[i] = (a, b, c, d)
+                brackets[i] = narrow(a, b, c, d, scored[i][c] < scored[i][d])
 
     results: list = [None] * m
     best = {}
@@ -380,12 +390,16 @@ def design_algorithm2(
     whose trace is :func:`evaluate_performance`'s of that candidate's
     observer to the bit, so the alg2 trace is at most the alg1 trace bit for
     bit. Each distinct ``rho`` is scored once, and only the returned
-    observer is built. The plant is the stack of one of
-    :func:`_design_alg2`, which designs many plants in lockstep.
+    observer is built. Each scorer call takes two golden-section iterations:
+    the second iteration's new point is scored for both outcomes of the
+    first, and the one on the branch not taken is dropped. The plant is the
+    stack of one of :func:`_design_alg2`, which designs many plants in
+    lockstep.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding one
-    ``(rho, trace)`` pair per scored ``rho``, sorted by ``rho``; each trace
-    is :func:`evaluate_performance`'s of the design at that ``rho``.
+    ``(rho, trace)`` pair per ``rho`` the search keeps, sorted by ``rho``;
+    each trace is :func:`evaluate_performance`'s of the design at that
+    ``rho``.
     """
     return single_outcome(_design_alg2([plant], _kalman_step([plant], 0.0), rho_candidates))
 

@@ -98,6 +98,56 @@ def assert_decides_as_the_reference_path(plant, caplog):
     return sum(rho in scored for rho in grid[1:].tolist())
 
 
+INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def alg2_answer(outcome):
+    """``(rho_opt, curve, A_hat, B_hat, B_v2)`` of an alg2 outcome, the observer as bytes."""
+    obs, rho_opt, curve = outcome
+    return rho_opt, curve, obs.A_hat.tobytes(), obs.B_hat.tobytes(), obs.B_v2.tobytes()
+
+
+def one_call_per_iteration(plant):
+    """alg2's answer with one scorer call per golden-section iteration, and the bracket before each iteration.
+
+    The default grid goes through one ``_alg2_traces`` call, then each
+    iteration scores its new points alone; the scorer is looked up on each
+    call, so a test can wrap it.
+    """
+    matrices, filters = qobs.observers._plant_matrices([plant]), qobs.observers._kalman_step([plant], 0.0)
+    grid = default_rho_grid().tolist()
+    outcomes = qobs.observers._alg2_traces(matrices, filters, [(0, rho) for rho in grid])
+    scored = {rho: outcome for rho, outcome in zip(grid, outcomes) if not isinstance(outcome, QobsError)}
+    ordered = list(scored)
+    j = ordered.index(min(scored, key=scored.get))
+    a, b = ordered[max(j - 1, 0)], ordered[min(j + 1, len(ordered) - 1)]
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    brackets = []
+    while b > a and len(brackets) < 20:
+        brackets.append((a, b, c, d))
+        items = [(0, rho) for rho in dict.fromkeys((c, d)) if rho not in scored]
+        outcomes = dict(zip(items, qobs.observers._alg2_traces(matrices, filters, items)))
+        for rho in (c, d):  # d is kept only after c succeeded
+            outcome = outcomes.get((0, rho))
+            failed = isinstance(outcome, QobsError)
+            if failed:
+                break
+            if outcome is not None:
+                scored[rho] = outcome
+        if failed:
+            break
+        if scored[c] < scored[d]:
+            b, d = d, c
+            c = b - INV_PHI * (b - a)
+        else:
+            a, c = c, d
+            d = a + INV_PHI * (b - a)
+    rho_opt = min(sorted(scored), key=scored.get)
+    kd = filters[0] if rho_opt == 0.0 else qobs.observers._kalman_step([plant], rho_opt)[0]
+    (obs,) = qobs.observers._augmented_designs([plant], [kd], [qobs.observers.Provenance("alg2", rho=rho_opt)])
+    return alg2_answer((obs, rho_opt, sorted(scored.items()))), brackets
+
+
 def slices(args):
     """The argument tuple of each slice of a stack routine's call; a single call is one slice."""
     args = [np.asarray(a) for a in args]
@@ -270,16 +320,25 @@ class TestAlgorithm2:
         assert np.linalg.norm(res) <= 1e-8 * (1.0 + np.linalg.norm(obs.A_hat))
 
     def test_each_rho_is_scored_once(self, monkeypatch, care_calls):
-        # the 61 positive grid candidates and the 21 golden-section points
-        # each go through the scorer's filter CARE once, though the
-        # golden-section pass carries one interior point forward per
-        # iteration; solve_care runs only for the rho = 0 filter and the
-        # returned observer
+        # the 61 positive grid candidates, the 21 golden-section points and
+        # the 10 lookahead points on the branches not taken each go through
+        # the scorer's filter CARE once, though the golden-section pass
+        # carries one interior point forward per iteration; the grid takes
+        # one scorer call and the 20 iterations 10; solve_care runs only for
+        # the rho = 0 filter and the returned observer
         scored = counting(monkeypatch, "_filter_cares")
+        scorer, scorer_calls = qobs.observers._alg2_traces, []
+
+        def counted(*args):
+            scorer_calls.append(args[2])
+            return scorer(*args)
+
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", counted)
         _, rho_opt, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
         assert len(curve) == len({rho for rho, _ in curve}) == 83
         designed = {tuple(M.tobytes() for M in args) for args in scored}
-        assert len(scored) == len(designed) == 82
+        assert len(scored) == len(designed) == 92
+        assert len(scorer_calls) == 1 + 10
         assert len(care_calls) == 1 + (rho_opt != 0.0)
 
     def test_memory_stays_flat_on_a_large_plant(self, perfbench_workloads):
@@ -390,11 +449,7 @@ class TestAlgorithm2:
         def design(plants):
             return qobs.observers._design_alg2(plants, qobs.observers._kalman_step(plants, 0.0), rhos)
 
-        def answer(outcome):
-            obs, rho_opt, curve = outcome
-            return rho_opt, curve, obs.A_hat.tobytes(), obs.B_hat.tobytes(), obs.B_v2.tobytes()
-
-        singles = [answer(out) for plant in plants for out in design([plant])]
+        singles = [alg2_answer(out) for plant in plants for out in design([plant])]
         n, body, slice_counts = plants[0].n_x, qobs.observers._filter_cares, []
 
         def counted(*args):
@@ -403,12 +458,57 @@ class TestAlgorithm2:
 
         monkeypatch.setattr(qobs.observers, "_filter_cares", counted)
         monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))
-        stacked = [answer(out) for out in design(plants)]
+        stacked = [alg2_answer(out) for out in design(plants)]
         inflated = len(rhos) - 1
         assert slice_counts[:3] == [2 * inflated, 2 * inflated, inflated]  # the grid pass, two plants a chunk
-        assert max(slice_counts[3:]) <= 2 * len(plants)  # the golden-section rounds
+        # the golden-section rounds: two iterations per round, two points
+        # and the two lookahead points per plant
+        assert len(slice_counts[3:]) <= 10 and max(slice_counts[3:]) <= 4 * len(plants)
         assert stacked == singles
         assert {0.0, 1e-200, 1e-161}.isdisjoint(dict(stacked[1][1]))
+
+    @pytest.mark.parametrize("family", ["cavity", "pool"])
+    def test_lookahead_decides_as_one_scorer_call_per_iteration(self, family, perfbench_workloads):
+        # two golden-section iterations per scorer call give the answer of
+        # one call per iteration to the bit: rho_opt, curve and observer
+        if family == "cavity":
+            plants = [make_cavity_plant(*scenario, kn) for scenario in (co.S1, co.S2, co.S3) for kn in CAVITY_KNS]
+        else:
+            plants = [perfbench_workloads.pool_plant(stratum, 0) for stratum in range(len(perfbench_workloads.STRATA))]
+        for plant in plants:
+            assert alg2_answer(design_algorithm2(plant)) == one_call_per_iteration(plant)[0]
+
+    @pytest.mark.parametrize("where", ["first c", "lookahead taken", "lookahead not taken"])
+    def test_failing_golden_section_point_is_handled_as_one_call_per_iteration(self, where, monkeypatch):
+        # a failing point drops its bracket at the iteration that scores it,
+        # c before d; a lookahead point on the branch not taken is never kept,
+        # so its failure changes nothing
+        plant = make_cavity_plant(*co.S2, 69.0)
+        unflagged, brackets = one_call_per_iteration(plant)
+        (a, b, c, d), after = brackets[0], brackets[1]
+        left = after[1] == d  # the bracket shrank to [a, d]
+        right_point, left_point = c + INV_PHI * (b - c), d - INV_PHI * (d - a)
+        failing = {
+            "first c": c,
+            "lookahead taken": left_point if left else right_point,
+            "lookahead not taken": right_point if left else left_point,
+        }[where]
+        scorer = qobs.observers._alg2_traces
+
+        def one_point_fails(matrices, filters, items):
+            outcomes = scorer(matrices, filters, items)
+            return [NoStabilizingSolution("injected") if rho == failing else out for (_, rho), out in zip(items, outcomes)]
+
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", one_point_fails)
+        expected, _ = one_call_per_iteration(plant)
+        assert alg2_answer(design_algorithm2(plant)) == expected
+        golden = sorted(set(dict(expected[1])) - set(default_rho_grid().tolist()))
+        if where == "first c":
+            assert golden == []  # the bracket is dropped, and d is not kept
+        elif where == "lookahead taken":
+            assert golden == sorted([c, d])  # dropped at the second iteration
+        else:
+            assert expected == unflagged
 
     def test_pool_answers_are_pinned(self, perfbench_workloads, caplog):
         # the hand check every performance change makes on the whole pool,
