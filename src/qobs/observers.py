@@ -312,9 +312,7 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
                 scored[i][rho] = outcome
 
     # one golden-section pass around each grid minimizer, 20 iterations in
-    # lockstep, two per scorer call: each call also scores the next
-    # iteration's new point for either outcome of the comparison, and only
-    # the one on the branch taken is kept
+    # lockstep, two per scorer call; only the branch taken is kept
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def narrow(a, b, c, d, left):
