@@ -29,9 +29,10 @@ design or its typed error. The public designers run the stack of one.
 :func:`_augmented_designs` one :func:`augment_noise` call and
 :func:`evaluate_performance` one Lyapunov stack; alg2 scores the grids of
 all its plants in one pass, chunked by whole plants, and takes the
-golden-section steps on all of them in lockstep, two iterations per scorer
-call. alg3 transforms all its filters in one stacked
-:func:`skew_riccati_transform` call.
+golden-section steps on all of them in lockstep: each round scores every
+plant's predicted path in one scorer call, so the 20 iterations take about
+three calls, and never more than ten. alg3 transforms all its filters in
+one stacked :func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -267,19 +268,45 @@ def _alg2_traces(matrices: tuple[np.ndarray, ...], filters: list, items: Sequenc
     return outcomes
 
 
+#: the most points not yet scored that one golden-section round scores on a
+#: plant's predicted path; the hedge point comes on top
+_PATH_POINTS = 10
+
+
+def _trace_guess(known: list[tuple[float, float]]):
+    """A guess at the alg2 trace as a function of ``rho``, from a bracket's scored ``(rho, trace)`` pairs sorted by ``rho``.
+
+    The parabola through the pair of least trace and its two neighbours, or
+    through the three pairs at the end where that pair is the first or the
+    last; the line through the two pairs where the bracket holds only its
+    ends. The guess decides which points alg2 scores ahead, never its
+    answer.
+    """
+    k = min(range(len(known)), key=lambda j: known[j][1])
+    (x0, y0), (x1, y1), *rest = known[max(0, min(k - 1, len(known) - 3)):]
+    s01 = (y1 - y0) / (x1 - x0)
+    s012 = ((rest[0][1] - y1) / (rest[0][0] - x1) - s01) / (rest[0][0] - x0) if rest else 0.0
+    return lambda rho: y0 + (rho - x0) * (s01 + (rho - x1) * s012)
+
+
 def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candidates: Sequence[float] | None) -> list:
     """:func:`design_algorithm2` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
 
     Every plant takes the steps of :func:`design_algorithm2` on its own
     data, and each step is one :func:`_alg2_traces` call over all plants:
     the grid pass, in chunks of whole plants of about 1 MB of working
-    memory, then each pair of golden-section iterations over the plants
-    still in it: the call also scores the second iteration's new point for
-    either outcome of the first, and the point on the branch not taken is
-    dropped. Each plant's set of kept ``rho`` is the one the plant gets
-    alone: where ``c`` fails in a golden-section iteration, the plant's
-    ``d`` of that iteration is not kept. The returned observers are built in
-    one :func:`_kalman_step` and one :func:`_augmented_designs` call.
+    memory, then the golden-section rounds over the plants still in it.
+    A round predicts each plant's path from :func:`_trace_guess` and scores
+    up to ``_PATH_POINTS`` new points along it, plus the hedge: the new
+    point of the other branch at the first predicted step. The plant then
+    takes iterations as long as both ``c`` and ``d`` are scored, so every
+    round takes at least two and 20 iterations at most ten rounds. Points
+    scored ahead wait in a side table: only those on the path taken are
+    kept, so the guess decides the cost and never the answer. Each plant's
+    set of kept ``rho`` is the one the plant gets alone: where ``c`` fails
+    in a golden-section iteration, the plant's ``d`` of that iteration is
+    not kept. The returned observers are built in one :func:`_kalman_step`
+    and one :func:`_augmented_designs` call.
     """
     if rho_candidates is None:
         rho_candidates = default_rho_grid()
@@ -312,14 +339,16 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
                 scored[i][rho] = outcome
 
     # one golden-section pass around each grid minimizer, 20 iterations in
-    # lockstep, two per scorer call; only the branch taken is kept
+    # lockstep; each round scores every plant's predicted path in one call
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def narrow(a, b, c, d, left):
         """The bracket after one step: ``[a, d]`` if ``left``, else ``[c, b]``, with one new interior point."""
         return (a, d, d - inv_phi * (d - a), c) if left else (c, b, d, c + inv_phi * (b - c))
 
-    brackets = {}
+    brackets, todo = {}, {}
+    seen = [dict(s) for s in scored]  # every outcome scored, kept or ahead of the path taken
+    known: list[list[tuple[float, float]]] = [[] for _ in range(m)]  # the scored points the guess is fit to
     for i in range(m):
         if not scored[i]:
             continue
@@ -327,31 +356,65 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
         j = ordered.index(min(scored[i], key=scored[i].get))
         a, b = ordered[max(j - 1, 0)], ordered[min(j + 1, len(ordered) - 1)]
         if b > a:
-            brackets[i] = (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
-    for _ in range(20 // 2):
-        if not brackets:
-            break
-        items = list(dict.fromkeys(
-            (i, rho)
-            for i, (a, b, c, d) in brackets.items()
-            for rho in (c, d, narrow(a, b, c, d, True)[2], narrow(a, b, c, d, False)[3])
-            if rho not in scored[i]
-        ))
-        outcomes = dict(zip(items, _alg2_traces(matrices, filters, items)))
+            brackets[i], todo[i] = (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a)), 20
+            known[i] = [(rho, scored[i][rho]) for rho in ordered[max(j - 1, 0):j + 2]]
+    missing, planned = object(), object()
+
+    def path(i):
+        """The points plant ``i`` has not scored on its predicted path, at most ``_PATH_POINTS``, then the hedge."""
+        a, b, c, d = brackets[i]
+        outcome = seen[i].get
+        known[i] = sorted(point for point in known[i] if a <= point[0] <= b)
+        guess = _trace_guess(known[i])
+        points, hedge = {}, None
+        tc, td = outcome(c, missing), outcome(d, missing)
+        for _ in range(todo[i]):
+            if isinstance(tc, QobsError) or len(points) + (tc is missing) + (td is missing) > _PATH_POINTS:
+                break
+            if tc is missing:
+                points[c], tc = None, planned
+            if isinstance(td, QobsError):
+                break
+            if td is missing:
+                points[d], td = None, planned
+            if tc is planned or td is planned:
+                left = guess(c) < guess(d)
+                if hedge is None:
+                    hedge = narrow(a, b, c, d, not left)[3 if left else 2]
+            else:
+                left = tc < td
+            a, b, c, d = narrow(a, b, c, d, left)
+            tc, td = (outcome(c, missing), tc) if left else (td, outcome(d, missing))
+        if hedge is not None and hedge not in points and outcome(hedge, missing) is missing:
+            points[hedge] = None
+        return points
+
+    while brackets:
+        items = [(i, rho) for i in brackets for rho in path(i)]
+        for (i, rho), trace in zip(items, _alg2_traces(matrices, filters, items)):
+            seen[i][rho] = trace
+            if not isinstance(trace, QobsError):
+                known[i].append((rho, trace))
         for i in list(brackets):
-            for _ in range(2):
-                a, b, c, d = brackets[i]
-                # kept as if c were scored first and d only after c succeeded
-                for rho in (c, d):
-                    outcome = outcomes.get((i, rho))
-                    if isinstance(outcome, QobsError):
-                        del brackets[i]
-                        break
-                    if outcome is not None:
-                        scored[i][rho] = outcome
-                if i not in brackets:
+            # the iterations whose c and d are both scored, kept as if c were
+            # scored first and d only after c succeeded
+            a, b, c, d = brackets[i]
+            outcome = seen[i].get
+            while todo[i]:
+                tc, td = outcome(c, missing), outcome(d, missing)
+                if tc is missing or td is missing and not isinstance(tc, QobsError):
                     break
-                brackets[i] = narrow(a, b, c, d, scored[i][c] < scored[i][d])
+                for rho, trace in ((c, tc), (d, td)):
+                    if isinstance(trace, QobsError):
+                        todo[i] = 0  # a failing point drops the bracket
+                        break
+                    scored[i][rho] = trace
+                else:
+                    a, b, c, d = narrow(a, b, c, d, tc < td)
+                    todo[i] -= 1
+            brackets[i] = a, b, c, d
+            if not todo[i]:
+                del brackets[i]
 
     results: list = [None] * m
     best = {}
@@ -388,11 +451,13 @@ def design_algorithm2(
     whose trace is :func:`evaluate_performance`'s of that candidate's
     observer to the bit, so the alg2 trace is at most the alg1 trace bit for
     bit. Each distinct ``rho`` is scored once, and only the returned
-    observer is built. Each scorer call takes two golden-section iterations:
-    the second iteration's new point is scored for both outcomes of the
-    first, and the one on the branch not taken is dropped. The plant is the
-    stack of one of :func:`_design_alg2`, which designs many plants in
-    lockstep.
+    observer is built. Each golden-section scorer call scores the path that
+    a parabola through the bracket's best scored point and its neighbours
+    predicts, up to ten points ahead, and the other branch's point at the
+    first predicted step; the iterations then take the points they reach,
+    and points scored off the path taken are dropped. The 20 iterations so
+    take about three calls, and at most ten. The plant is the stack of one
+    of :func:`_design_alg2`, which designs many plants in lockstep.
 
     Returns ``(best observer, rho_opt, curve)`` with the curve holding one
     ``(rho, trace)`` pair per ``rho`` the search keeps, sorted by ``rho``;

@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,13 @@ def one_call_per_iteration(plant):
     kd = filters[0] if rho_opt == 0.0 else qobs.observers._kalman_step([plant], rho_opt)[0]
     (obs,) = qobs.observers._augmented_designs([plant], [kd], [qobs.observers.Provenance("alg2", rho=rho_opt)])
     return alg2_answer((obs, rho_opt, sorted(scored.items()))), brackets
+
+
+def alg2_plants(family, perfbench_workloads):
+    """The cavity at ``CAVITY_KNS`` in the three scenarios, or pool plant 0 of each perfbench stratum."""
+    if family == "cavity":
+        return [make_cavity_plant(*scenario, kn) for scenario in (co.S1, co.S2, co.S3) for kn in CAVITY_KNS]
+    return [perfbench_workloads.pool_plant(stratum, 0) for stratum in range(len(perfbench_workloads.STRATA))]
 
 
 def slices(args):
@@ -321,11 +329,12 @@ class TestAlgorithm2:
 
     def test_each_rho_is_scored_once(self, monkeypatch, care_calls):
         # the 61 positive grid candidates, the 21 golden-section points and
-        # the 10 lookahead points on the branches not taken each go through
-        # the scorer's filter CARE once, though the golden-section pass
-        # carries one interior point forward per iteration; the grid takes
-        # one scorer call and the 20 iterations 10; solve_care runs only for
-        # the rho = 0 filter and the returned observer
+        # the 3 points scored ahead off the path taken each go through the
+        # scorer's filter CARE once, though the golden-section pass carries
+        # one interior point forward per iteration; the grid takes one
+        # scorer call and the 20 iterations 3, of 11, 11 and 2 points;
+        # solve_care runs only for the rho = 0 filter and the returned
+        # observer
         scored = counting(monkeypatch, "_filter_cares")
         scorer, scorer_calls = qobs.observers._alg2_traces, []
 
@@ -337,8 +346,8 @@ class TestAlgorithm2:
         _, rho_opt, curve = design_algorithm2(make_cavity_plant(*co.S2, 69.0))
         assert len(curve) == len({rho for rho, _ in curve}) == 83
         designed = {tuple(M.tobytes() for M in args) for args in scored}
-        assert len(scored) == len(designed) == 92
-        assert len(scorer_calls) == 1 + 10
+        assert len(scored) == len(designed) == 85
+        assert [len(items) for items in scorer_calls] == [62, 11, 11, 2]
         assert len(care_calls) == 1 + (rho_opt != 0.0)
 
     def test_memory_stays_flat_on_a_large_plant(self, perfbench_workloads):
@@ -360,11 +369,7 @@ class TestAlgorithm2:
         # each (rho, trace) of the curve is evaluate_performance's trace of
         # the observer designed at that rho, bit for bit, so alg2's trace is
         # at most alg1's bit for bit
-        if family == "cavity":
-            plants = [make_cavity_plant(*scenario, kn) for scenario in (co.S1, co.S2, co.S3) for kn in CAVITY_KNS]
-        else:
-            plants = [perfbench_workloads.pool_plant(stratum, 0) for stratum in range(len(perfbench_workloads.STRATA))]
-        for plant in plants:
+        for plant in alg2_plants(family, perfbench_workloads):
             obs, rho_opt, curve = design_algorithm2(plant)
             rhos, traces = (list(column) for column in zip(*curve))
             inflated = [rho for rho in rhos if rho != 0.0]
@@ -451,62 +456,102 @@ class TestAlgorithm2:
 
         singles = [alg2_answer(out) for plant in plants for out in design([plant])]
         n, body, slice_counts = plants[0].n_x, qobs.observers._filter_cares, []
+        scorer, owners = qobs.observers._alg2_traces, []
 
         def counted(*args):
             slice_counts.append(len(args[4]))
             return body(*args)
 
+        def counted_scorer(matrices, filters, items):
+            owners.append(Counter(i for i, _ in items))
+            return scorer(matrices, filters, items)
+
         monkeypatch.setattr(qobs.observers, "_filter_cares", counted)
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", counted_scorer)
         monkeypatch.setattr(qobs.observers, "KRON_CHUNK_BYTES", 10 * 8 * (2 * n) ** 2 * len(rhos))
         stacked = [alg2_answer(out) for out in design(plants)]
         inflated = len(rhos) - 1
         assert slice_counts[:3] == [2 * inflated, 2 * inflated, inflated]  # the grid pass, two plants a chunk
-        # the golden-section rounds: two iterations per round, two points
-        # and the two lookahead points per plant
-        assert len(slice_counts[3:]) <= 10 and max(slice_counts[3:]) <= 4 * len(plants)
+        # the golden-section rounds: at least two iterations per round, each
+        # plant's predicted path and its hedge point
+        rounds = owners[3:]
+        assert len(rounds) <= 10
+        assert max(max(per_plant.values()) for per_plant in rounds) <= qobs.observers._PATH_POINTS + 1
         assert stacked == singles
         assert {0.0, 1e-200, 1e-161}.isdisjoint(dict(stacked[1][1]))
 
     @pytest.mark.parametrize("family", ["cavity", "pool"])
     def test_lookahead_decides_as_one_scorer_call_per_iteration(self, family, perfbench_workloads):
-        # two golden-section iterations per scorer call give the answer of
-        # one call per iteration to the bit: rho_opt, curve and observer
-        if family == "cavity":
-            plants = [make_cavity_plant(*scenario, kn) for scenario in (co.S1, co.S2, co.S3) for kn in CAVITY_KNS]
-        else:
-            plants = [perfbench_workloads.pool_plant(stratum, 0) for stratum in range(len(perfbench_workloads.STRATA))]
-        for plant in plants:
+        # scoring each plant's predicted path ahead gives the answer of one
+        # call per iteration to the bit: rho_opt, curve and observer
+        for plant in alg2_plants(family, perfbench_workloads):
             assert alg2_answer(design_algorithm2(plant)) == one_call_per_iteration(plant)[0]
 
-    @pytest.mark.parametrize("where", ["first c", "lookahead taken", "lookahead not taken"])
+    @pytest.mark.parametrize("family", ["cavity", "pool"])
+    def test_the_guess_decides_the_cost_only(self, family, perfbench_workloads, monkeypatch):
+        # a guess that predicts every branch of the path taken wrong, and one
+        # that predicts a flat trace, give the answer of one call per
+        # iteration; the hedge point still takes two iterations per round, so
+        # the grid and at most ten golden-section rounds make the calls
+        scorer, calls = qobs.observers._alg2_traces, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return scorer(*args)
+
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", counted)
+        for plant in alg2_plants(family, perfbench_workloads):
+            monkeypatch.setattr(qobs.observers, "_alg2_traces", scorer)
+            expected, brackets = one_call_per_iteration(plant)
+            monkeypatch.setattr(qobs.observers, "_alg2_traces", counted)
+            truth = dict(expected[1])
+            guesses = {
+                "always wrong": lambda known: lambda rho: -truth.get(rho, 0.0),
+                "constant": lambda known: lambda rho: 1.0,
+            }
+            for name, guess in guesses.items():
+                monkeypatch.setattr(qobs.observers, "_trace_guess", guess)
+                calls.clear()
+                assert alg2_answer(design_algorithm2(plant)) == expected, name
+                assert len(calls) <= 1 + 10, name
+                if name == "always wrong" and len(brackets) == 20:
+                    assert len(calls) == 1 + 10  # two iterations per round, no more
+
+    @pytest.mark.parametrize("where", ["first c", "predicted point taken", "point off the taken path"])
     def test_failing_golden_section_point_is_handled_as_one_call_per_iteration(self, where, monkeypatch):
-        # a failing point drops its bracket at the iteration that scores it,
-        # c before d; a lookahead point on the branch not taken is never kept,
-        # so its failure changes nothing
+        # a failing point drops its bracket at the iteration that takes it,
+        # c before d, though a round scored it ahead; a point scored off the
+        # path taken is never kept, so its failure changes nothing
         plant = make_cavity_plant(*co.S2, 69.0)
         unflagged, brackets = one_call_per_iteration(plant)
         (a, b, c, d), after = brackets[0], brackets[1]
         left = after[1] == d  # the bracket shrank to [a, d]
-        right_point, left_point = c + INV_PHI * (b - c), d - INV_PHI * (d - a)
+        sixth = next(rho for rho in brackets[5][2:] if rho not in brackets[4][2:])  # the new point of iteration 6
         failing = {
             "first c": c,
-            "lookahead taken": left_point if left else right_point,
-            "lookahead not taken": right_point if left else left_point,
+            "predicted point taken": sixth,
+            "point off the taken path": c + INV_PHI * (b - c) if left else d - INV_PHI * (d - a),
         }[where]
-        scorer = qobs.observers._alg2_traces
+        scorer, rounds = qobs.observers._alg2_traces, []
 
         def one_point_fails(matrices, filters, items):
+            rounds.append([rho for _, rho in items])
             outcomes = scorer(matrices, filters, items)
             return [NoStabilizingSolution("injected") if rho == failing else out for (_, rho), out in zip(items, outcomes)]
 
         monkeypatch.setattr(qobs.observers, "_alg2_traces", one_point_fails)
         expected, _ = one_call_per_iteration(plant)
+        rounds.clear()
         assert alg2_answer(design_algorithm2(plant)) == expected
-        golden = sorted(set(dict(expected[1])) - set(default_rho_grid().tolist()))
+        assert failing in rounds[1]  # scored ahead in the first golden-section round
+        grid = set(default_rho_grid().tolist())
+        golden = sorted(set(dict(expected[1])) - grid)
         if where == "first c":
             assert golden == []  # the bracket is dropped, and d is not kept
-        elif where == "lookahead taken":
-            assert golden == sorted([c, d])  # dropped at the second iteration
+            assert len(rounds) == 2
+        elif where == "predicted point taken":
+            assert golden == sorted({rho for bracket in brackets[:5] for rho in bracket[2:]} - grid)  # dropped at iteration 6
+            assert len(rounds) == 2
         else:
             assert expected == unflagged
 
