@@ -30,9 +30,9 @@ design or its typed error. The public designers run the stack of one.
 :func:`evaluate_performance` one Lyapunov stack; alg2 scores the grids of
 all its plants in one pass, chunked by whole plants, and takes the
 golden-section steps on all of them in lockstep: each round scores every
-plant's predicted path in one scorer call, so the 20 iterations take about
-three calls, and never more than ten. alg3 transforms all its filters in
-one stacked :func:`skew_riccati_transform` call.
+plant's predicted path in one pass, chunked alike, so the 20 iterations
+take about three rounds, and never more than ten. alg3 transforms all its
+filters in one stacked :func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
 the Lyapunov equation of the estimation-error dynamics.
@@ -40,7 +40,9 @@ the Lyapunov equation of the estimation-error dynamics.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -289,13 +291,30 @@ def _trace_guess(known: list[tuple[float, float]]):
     return lambda rho: y0 + (rho - x0) * (s01 + (rho - x1) * s012)
 
 
+def _chunked_traces(matrices: tuple[np.ndarray, ...], filters: list, items: Sequence[tuple[int, float]]) -> list:
+    """:func:`_alg2_traces` of ``items``, which come grouped by plant, in chunks of whole plants.
+
+    A slice holds about ten arrays of its Hamiltonian's size at once; a chunk takes the plants whose slices fit
+    in twice ``KRON_CHUNK_BYTES`` of them, as in :func:`_solve_lyapunov_stack`, or one plant that does not.
+    """
+    budget = 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * matrices[0].shape[-1]) ** 2)
+    outcomes, chunk = [], []
+    for _, group in itertools.groupby(items, key=operator.itemgetter(0)):
+        group = list(group)
+        if chunk and len(chunk) + len(group) > budget:
+            outcomes += _alg2_traces(matrices, filters, chunk)
+            chunk = []
+        chunk += group
+    return outcomes + _alg2_traces(matrices, filters, chunk)
+
+
 def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candidates: Sequence[float] | None) -> list:
     """:func:`design_algorithm2` over same-shape plants, from their ``rho = 0`` filters: one outcome per plant.
 
     Every plant takes the steps of :func:`design_algorithm2` on its own
-    data, and each step is one :func:`_alg2_traces` call over all plants:
-    the grid pass, in chunks of whole plants of about 1 MB of working
-    memory, then the golden-section rounds over the plants still in it.
+    data, and each step scores all plants through :func:`_chunked_traces`,
+    in chunks of whole plants of about 1 MB of working memory: the grid
+    pass, then the golden-section rounds over the plants still in it.
     A round predicts each plant's path from :func:`_trace_guess` and scores
     up to ``_PATH_POINTS`` new points along it, plus the hedge: the new
     point of the other branch at the first predicted step. The plant then
@@ -324,22 +343,16 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
     matrices = _plant_matrices(plants)
     scored: list[dict[float, float]] = [{} for _ in range(m)]  # the grid's in ascending rho, then the others
     skipped: list[list[tuple[float, str]]] = [[] for _ in range(m)]
-    # a slice holds about ten arrays of its Hamiltonian's size at once; whole
-    # plants per chunk, so that about twice KRON_CHUNK_BYTES is live, as in
-    # _solve_lyapunov_stack
-    n = plants[0].n_x
-    chunk = max(1, 2 * KRON_CHUNK_BYTES // (10 * 8 * (2 * n) ** 2 * len(candidates)))
-    for start in range(0, m, chunk):
-        items = [(i, rho) for i in range(start, min(start + chunk, m)) for rho in candidates]
-        for (i, rho), outcome in zip(items, _alg2_traces(matrices, filters, items)):
-            if isinstance(outcome, QobsError):
-                logger.debug("skipping rho=%g: %s: %s", rho, outcome.reason_code, outcome)
-                skipped[i].append((rho, f"{outcome.reason_code}: {outcome}"))
-            else:
-                scored[i][rho] = outcome
+    items = [(i, rho) for i in range(m) for rho in candidates]
+    for (i, rho), outcome in zip(items, _chunked_traces(matrices, filters, items)):
+        if isinstance(outcome, QobsError):
+            logger.debug("skipping rho=%g: %s: %s", rho, outcome.reason_code, outcome)
+            skipped[i].append((rho, f"{outcome.reason_code}: {outcome}"))
+        else:
+            scored[i][rho] = outcome
 
     # one golden-section pass around each grid minimizer, 20 iterations in
-    # lockstep; each round scores every plant's predicted path in one call
+    # lockstep; each round scores every plant's predicted path in one pass
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def narrow(a, b, c, d, left):
@@ -391,7 +404,7 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
 
     while brackets:
         items = [(i, rho) for i in brackets for rho in path(i)]
-        for (i, rho), trace in zip(items, _alg2_traces(matrices, filters, items)):
+        for (i, rho), trace in zip(items, _chunked_traces(matrices, filters, items)):
             seen[i][rho] = trace
             if not isinstance(trace, QobsError):
                 known[i].append((rho, trace))

@@ -215,8 +215,10 @@ def skew_riccati_transform(
 
     Raises, in the order checked: :class:`DomainError` for a non-finite
     filter, :class:`ImaginaryAxisEigenvalue` (the doubled matrix must split
-    cleanly), :class:`SingularX1`, :class:`SingularX`, and :class:`NonRealT`
-    if the residue or pairing checks fail.
+    cleanly), :class:`SingularX1`, :class:`NoStabilizingSolution` if ``X``
+    fails the Riccati residual check, on the scale ``||H||`` of
+    ``H = C_hat^T theta_eta C_hat``, :class:`SingularX`, and
+    :class:`NonRealT` if the residue or pairing checks fail.
 
     ``A_hat`` and ``B_hat`` may be equal-length stacks of filters. The call
     then returns one outcome per slice, the :class:`TransformResult` or the
@@ -232,7 +234,9 @@ def skew_riccati_transform(
     if single:
         A_hat, B_hat = A_hat[None], B_hat[None]
     n_x = A_hat.shape[-1]
-    X, outcomes = _riccati_solutions(A_hat, B_hat, th_y, CtC[None])
+    H = CtC[None]
+    with np.errstate(over="ignore"):  # the norm of a huge H overflows without a warning, as in the solver
+        X, outcomes = _riccati_solutions(A_hat, B_hat, th_y, H, np.linalg.norm(H, axis=(-2, -1)))
     for i, exc in enumerate(outcomes):
         if isinstance(exc, NonRealResult):
             outcomes[i] = NonRealT(f"Riccati solution is not real: {exc}")

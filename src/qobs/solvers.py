@@ -17,12 +17,11 @@ the typed error that the slice alone raises; a single call is the stack of
 one. One ``np.linalg.eig`` call takes the basis of every slice from the
 eigenvectors (Potter, SIAM J. Appl. Math. 1966), and every check runs per
 slice. Only a slice that fails a check goes through the ordered Schur
-decomposition (the Schur method of Laub, IEEE TAC 1979) slice by slice
-(:func:`_stable_subspaces`), as one direct LAPACK ``gees`` call per slice,
-the one ``scipy.linalg.schur`` makes, without that wrapper's per-call
-checks and workspace query; that route decides the slice. Every other step
-is one batched numpy call, whose slices have the bytes they have alone, so
-no slice makes the stack raise. :func:`solve_lyapunov` is likewise
+decomposition (the Schur method of Laub, IEEE TAC 1979), one
+:func:`stable_subspace` call per slice, and that route decides the slice;
+either route's ``X`` must pass one residual check. Every other step is one
+batched numpy call, whose slices have the bytes they have alone, so no
+slice makes the stack raise. :func:`solve_lyapunov` is likewise
 :func:`_solve_lyapunov_stack` on a stack of one.
 """
 
@@ -31,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy.linalg
 
 from .errors import (
     DomainError,
     ImaginaryAxisEigenvalue,
     NoStabilizingSolution,
     NotHurwitz,
+    QobsError,
     SingularX1,
     WrongSplitCount,
     single_outcome,
@@ -62,10 +62,6 @@ __all__ = [
 #: bytes of one chunk of _solve_lyapunov_stack's Kronecker operators; the linear solve copies
 #: the chunk once more, so about twice this is live at a time
 KRON_CHUNK_BYTES = 1 << 19
-
-#: LAPACK's complex Schur decomposition (zgees), as scipy.linalg.schur resolves it for complex input
-(_GEES,) = get_lapack_funcs(("gees",), (np.zeros((1, 1), dtype=complex),))
-_GEES_LWORK: dict[int, int] = {}
 
 
 def _axis_tolerance(eigvals: np.ndarray) -> float | np.ndarray:
@@ -93,92 +89,31 @@ def stable_subspace(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(X1, X2)``, the top and bottom ``n x n`` blocks of an
     orthonormal basis of the invariant subspace for eigenvalues with negative
-    real part, from one ordered complex Schur decomposition (robust under
-    repeated eigenvalues, unlike raw eigenvectors) whose triangular factor
-    also gives the eigenvalues. The stack routine :func:`_stable_subspaces`
-    on a stack of one.
+    real part, from one ordered complex Schur decomposition,
+    ``scipy.linalg.schur(Z, output="complex", sort="lhp")`` (robust under
+    repeated eigenvalues, unlike raw eigenvectors), whose triangular factor
+    also gives the eigenvalues.
 
     Raises :class:`DomainError` for a matrix that is not square, even and
     finite, :class:`ImaginaryAxisEigenvalue` if any eigenvalue is within
     tolerance of the imaginary axis, and :class:`WrongSplitCount` if the
-    stable subspace does not have dimension ``n``.
+    stable subspace does not have dimension ``n``; the ``LinAlgError`` or
+    ``ValueError`` of a failed decomposition passes through.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.shape[0] % 2:
         raise DomainError(f"expected a square even-dimensioned matrix, got {Z.shape}")
-    X1, X2, (error,) = _stable_subspaces(Z[None])
-    if error is not None:
-        raise error
-    return X1[0], X2[0]
-
-
-def _lhp(eigval: complex) -> bool:
-    """``gees``'s selection of the leading eigenvalues: those in the open left half plane."""
-    return eigval.real < 0.0
-
-
-def _gees_lwork(dim: int) -> int:
-    """``gees``'s optimal workspace for ``dim x dim`` matrices, queried once per dimension."""
-    if dim not in _GEES_LWORK:
-        work = _GEES(lambda x: None, np.zeros((dim, dim), dtype=complex), lwork=-1)[-2]
-        _GEES_LWORK[dim] = work[0].real.astype(np.int_)
-    return _GEES_LWORK[dim]
-
-
-def _gees_error(info: int, dim: int) -> Exception | None:
-    """The error ``scipy.linalg.schur`` raises for ``gees``'s ``info`` on a ``dim x dim`` matrix, or ``None``."""
-    if info < 0:
-        return ValueError(f"illegal value in {-info}-th argument of internal gees")
-    if info == dim + 1:
-        return np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-    if info == dim + 2:
-        return np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
-    if info > 0:
-        return np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    return None
-
-
-def _stable_subspaces(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """:func:`stable_subspace` for each slice of a stack: ``(X1, X2, errors)``.
-
-    The ordered complex Schur decomposition runs slice by slice, as one
-    LAPACK ``gees`` call each: the call ``scipy.linalg.schur(..., output=
-    "complex", sort="lhp")`` makes, with its workspace queried once per
-    dimension, so it gives the same ``T``, ``U`` and ``sdim``. The checks run
-    on the whole stack. ``errors`` holds per slice ``None`` or what
-    :func:`stable_subspace` would raise (the ``LinAlgError`` or ``ValueError``
-    that ``scipy.linalg.schur`` raises for a finite slice included); the
-    blocks of a failed slice are meaningless.
-    """
-    m, dim = Z.shape[0], Z.shape[-1]
-    n = dim // 2
-    Z = Z.astype(complex)
-    U = np.zeros(Z.shape, dtype=complex)
-    eigvals = np.zeros(Z.shape[:-1], dtype=complex)
-    sdim = [n] * m
-    errors: list = [None] * m
-    finite = np.isfinite(Z).all(axis=(-2, -1))
-    lwork = _gees_lwork(dim)
-    for i in range(m):
-        if not finite[i]:
-            errors[i] = DomainError("array must not contain infs or NaNs")
-            continue
-        T, sdim[i], _, vs, _, info = _GEES(_lhp, Z[i], lwork=lwork, sort_t=1)
-        errors[i] = _gees_error(info, dim)
-        if errors[i] is None:
-            U[i], eigvals[i] = vs, T.diagonal()
-    tol = _axis_tolerance(eigvals)
-    closest = np.abs(eigvals.real).min(axis=-1)
-    for i in range(m):
-        if errors[i] is not None:
-            continue
-        if closest[i] <= tol[i]:
-            errors[i] = ImaginaryAxisEigenvalue(
-                f"eigenvalue with |real part| = {closest[i]:.3e} within tolerance {tol[i]:.3e}"
-            )
-        elif sdim[i] != n:
-            errors[i] = WrongSplitCount(f"stable subspace has dimension {sdim[i]}, expected {n}")
-    return U[:, :n, :n], U[:, n:, :n], errors
+    if not np.isfinite(Z).all():
+        raise DomainError("array must not contain infs or NaNs")
+    T, U, sdim = scipy.linalg.schur(Z, output="complex", sort="lhp")
+    n = len(Z) // 2
+    eigvals = T.diagonal()
+    closest, tol = np.abs(eigvals.real).min(initial=np.inf), _axis_tolerance(eigvals)
+    if closest <= tol:
+        raise ImaginaryAxisEigenvalue(f"eigenvalue with |real part| = {closest:.3e} within tolerance {tol:.3e}")
+    if sdim != n:
+        raise WrongSplitCount(f"stable subspace has dimension {sdim}, expected {n}")
+    return U[:n, :n], U[n:, :n]
 
 
 def _hamiltonian(F, B, M, H) -> tuple[np.ndarray, np.ndarray]:
@@ -190,49 +125,71 @@ def _hamiltonian(F, B, M, H) -> tuple[np.ndarray, np.ndarray]:
     return Z, G
 
 
+def _residual_failures(X, F, G, H, H_scale) -> dict:
+    """``{slice: NoStabilizingSolution}`` for the slices of a stack of Riccati solutions whose residual is too large.
+
+    ``X`` passes when its residual ``X G X - X F - F^T X - H`` is finite and
+    its norm at most ``CHECK_RTOL (||X G X|| + 2 ||X F|| + H_scale)``, where
+    ``H_scale`` is the caller's norm of the terms ``H`` is formed from, so
+    that the scale does not cancel where ``H`` does. The coefficient stacks
+    and ``H_scale`` may have one slice for all.
+    """
+    XGX, XF = X @ G @ X, X @ F
+    residual = np.linalg.norm(XGX - XF - F.swapaxes(-1, -2) @ X - H, axis=(-2, -1))
+    bound = CHECK_RTOL * (np.linalg.norm(XGX, axis=(-2, -1)) + 2.0 * np.linalg.norm(XF, axis=(-2, -1)) + H_scale)
+    return {
+        i: NoStabilizingSolution(f"Riccati residual {residual[i]:.3e} exceeds its bound {bound[i]:.3e}")
+        for i in np.flatnonzero(~(np.isfinite(residual) & (residual <= bound)))
+    }
+
+
 def _schur_solutions(Z: np.ndarray) -> tuple[np.ndarray, list]:
     """``X = X2 X1^-1`` from the ordered Schur basis of each Hamiltonian of a stack: ``(X, errors)``.
 
-    ``errors`` holds per slice ``None`` or the typed error: what
-    :func:`stable_subspace` raises, :class:`SingularX1` when ``cond(X1)``
-    exceeds ``COND_MAX``, and :class:`NonRealResult` when ``X`` is not real.
-    The ``X`` of a failed slice is meaningless.
+    Each slice goes through :func:`stable_subspace`; ``errors`` holds per
+    slice ``None`` or the typed error: what :func:`stable_subspace` raises
+    (the untyped error of a failed decomposition included),
+    :class:`SingularX1` when ``cond(X1)`` exceeds ``COND_MAX``, and
+    :class:`NonRealResult` when ``X`` is not real. The ``X`` of a failed
+    slice is meaningless.
     """
-    n = Z.shape[-1] // 2
-    X1, X2, errors = _stable_subspaces(Z)
-    cond = np.linalg.cond(X1)
-    singular = [i for i, error in enumerate(errors) if error is not None or cond[i] > COND_MAX]
-    for i in singular:
-        if errors[i] is None:
-            errors[i] = SingularX1("upper block of the stable basis is singular")
-    if singular:
-        X1[singular] = np.eye(n)  # so that the other slices can be inverted
+    m, n = len(Z), Z.shape[-1] // 2
+    X1 = np.tile(np.eye(n, dtype=complex), (m, 1, 1))  # I on a failed slice, so that the others can be inverted
+    X2 = np.zeros((m, n, n), dtype=complex)
+    errors: list = [None] * m
+    for i in range(m):
+        try:
+            X1[i], X2[i] = stable_subspace(Z[i])
+        except (QobsError, np.linalg.LinAlgError, ValueError) as exc:
+            errors[i] = exc
+    for i in np.flatnonzero(np.linalg.cond(X1) > COND_MAX):
+        errors[i], X1[i] = SingularX1("upper block of the stable basis is singular"), np.eye(n)
     X = X2 @ np.linalg.inv(X1)
     for i, error in enumerate(_nonreal_slices(X)):
-        if errors[i] is None:
-            errors[i] = error
+        errors[i] = errors[i] or error
     return X.real, errors
 
 
 @np.errstate(all="ignore")  # a slice that overflows is refused by the checks, without a warning
-def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
+def _riccati_solutions(F, B, M, H, H_scale) -> tuple[np.ndarray, list]:
     """Solution ``X`` of ``X G X - X F - F^T X - H = 0``, ``G = B M B^T``, per slice of stacked coefficients.
 
-    Returns ``(X, errors)``. The stable invariant subspace
-    ``[X1; X2]`` of the Hamiltonian (:func:`_hamiltonian`) gives ``X = X2
-    X1^-1``, so that ``F - G X`` is Hurwitz. One ``np.linalg.eig`` call on
-    the whole stack takes that basis as the eigenvectors of the ``n``
-    eigenvalues of least real part (Potter, SIAM J. Appl. Math. 1966). A
-    slice keeps that ``X`` if it passes every check: its Hamiltonian is
-    finite, no eigenvalue is within :func:`_axis_tolerance` of the
-    imaginary axis, exactly ``n`` are stable, ``cond(X1) <= COND_MAX``,
-    ``X`` is real by :func:`_nonreal_slices`, and the Riccati residual is
-    finite and at most ``CHECK_RTOL (||X G X|| + 2 ||X F|| + ||H||)``.
-    Every other slice, the non-finite ones as given, goes through the
+    Returns ``(X, errors)``. The stable invariant subspace ``[X1; X2]`` of
+    the Hamiltonian (:func:`_hamiltonian`) gives ``X = X2 X1^-1``, so that
+    ``F - G X`` is Hurwitz. One ``np.linalg.eig`` call on the whole stack
+    takes that basis as the eigenvectors of the ``n`` eigenvalues of least
+    real part (Potter, SIAM J. Appl. Math. 1966). A slice keeps that ``X``
+    if it passes every check: its Hamiltonian is finite, no eigenvalue is
+    within :func:`_axis_tolerance` of the imaginary axis, exactly ``n`` are
+    stable, ``cond(X1) <= COND_MAX``, ``X`` is real by
+    :func:`_nonreal_slices`, and it passes :func:`_residual_failures`, with
+    ``H_scale`` the caller's per-slice norm of the terms ``H`` is formed
+    from. Every other slice, the non-finite ones as given, goes through the
     ordered Schur basis of :func:`_schur_solutions` (Laub, IEEE TAC 1979),
-    which copes with defective and nearly repeated eigenvalues, and whose
-    verdict stands. ``errors`` holds per slice ``None`` or the typed error
-    of that route; the ``X`` of a failed slice is meaningless.
+    which copes with defective and nearly repeated eigenvalues; its ``X``
+    must pass the same residual check. ``errors`` holds per slice ``None``
+    or the typed error of that route; the ``X`` of a failed slice is
+    meaningless.
     """
     Z, G = _hamiltonian(F, B, M, H)
     n = F.shape[-1]
@@ -250,16 +207,14 @@ def _riccati_solutions(F, B, M, H) -> tuple[np.ndarray, list]:
     X = U[:, n:] @ np.linalg.inv(X1)
     ok &= np.array([error is None for error in _nonreal_slices(X)])
     X = np.ascontiguousarray(X.real)
-    XGX, XF = X @ G @ X, X @ F
-    residual = np.linalg.norm(XGX - XF - F.swapaxes(-1, -2) @ X - H, axis=(-2, -1))
-    scale = sum(np.linalg.norm(T, axis=(-2, -1)) for T in (XGX, 2.0 * XF, H))
-    ok &= np.isfinite(residual) & (residual <= CHECK_RTOL * scale)
+    ok[list(_residual_failures(X, F, G, H, H_scale))] = False
     errors: list = [None] * len(Z)
     redo = np.flatnonzero(~ok)
     if redo.size:
         X[redo], schur_errors = _schur_solutions(Z[redo])
-        for i, error in zip(redo, schur_errors):
-            errors[i] = error
+        failures = _residual_failures(X[redo], *(S if len(S) == 1 else S[redo] for S in (F, G, H, H_scale)))
+        for j, (i, error) in enumerate(zip(redo, schur_errors)):
+            errors[i] = error or failures.get(j)
     return X, errors
 
 
@@ -319,7 +274,9 @@ def _filter_cares(A, C, V1, V12, V2) -> tuple[np.ndarray, np.ndarray, np.ndarray
         for name, M in zip(("A", "C", "V1", "V12", "V2"), (A, C, V1, V12, V2)):  # each reaches F, H or V2^-1
             refuse(f"{name} is not finite", M)
         refuse("measurement-noise intensity V2 is too near singular to invert in floating point", V2_inv, F, H)
-    X, solution_errors = _riccati_solutions(*coefficients)  # the slices refused so far carry junk, which it flags
+    # H = V1 - V12 V2^-1 V12^T cancels where all the noise reaches the output, its two terms do not
+    H_scale = np.linalg.norm(V1, axis=(-2, -1)) + np.linalg.norm(V12 @ V2_inv @ V12.swapaxes(-1, -2), axis=(-2, -1))
+    X, solution_errors = _riccati_solutions(*coefficients, H_scale)  # the slices refused so far carry junk, which it flags
     for i, exc in enumerate(solution_errors):
         if errors[i] is None and exc is not None:
             errors[i] = NoStabilizingSolution(f"{type(exc).__name__}: {exc}")

@@ -49,7 +49,7 @@ IMAG_RESIDUE_RTOL = 1e-9
 EIG_SPLIT_RTOL = 1e-8
 #: numerical rank of ``i S_tilde / 4``, relative to the scale of the terms it is formed from
 RANK_RTOL = 1e-9
-#: a defect that must vanish: an eigenvector Riccati residual, the skew part of X, T^T theta T - X, `qobs check`
+#: a defect that must vanish: a Riccati residual of either route, the skew part of X, T^T theta T - X, `qobs check`
 CHECK_RTOL = 1e-8
 #: largest ``cond(X1)`` for which ``X = X2 X1^-1`` is formed
 COND_MAX = 1e12

@@ -2,10 +2,8 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import logging
-import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -46,26 +44,10 @@ from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 DATA = Path(__file__).resolve().parent / "data"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: every fourth default-grid point plus the transformation boundaries
 CAVITY_KNS = sorted(set(default_kn_grid()[::4]) | {69.0, 70.0, 909.0, 910.0})
 #: SHA-256 of alg2's answers (rho_opt, trace, J_bar bytes, skip log) on pool plant 0 of each perfbench stratum
 POOL_ALG2_SHA256 = "42940f6f76b2782a0cbbffcfaf8522b0737bc406831ae1b0d3b8313b21af0141"
-
-
-@pytest.fixture(scope="module")
-def perfbench_workloads():
-    """perfbench's workload module, loaded from its file without changing perfbench."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.path.insert(0, str(PERFBENCH))  # for its sibling module ``oracle``
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        del sys.modules[spec.name]
-    return module
 
 
 def reference_outcome(plant, rho):
@@ -363,6 +345,60 @@ class TestAlgorithm2:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_memory_stays_flat_over_many_large_plants(self, perfbench_workloads, monkeypatch):
+        # the golden-section rounds are chunked by whole plants as the grid
+        # pass is: on 24 plants of stratum (8, 3, 6) the rounds, unchunked,
+        # were calls of 264, 262 and 150 slices and peaked at 5.3 MB; each
+        # plant still gets the answer of its own call
+        stratum = perfbench_workloads.STRATA.index((8, 3, 6))
+        plants = [perfbench_workloads.pool_plant(stratum, i) for i in range(24)]
+        singles = [alg2_answer(design_algorithm2(plant)) for plant in plants]
+        scorer, sizes = qobs.observers._alg2_traces, []
+
+        def counted(*args):
+            sizes.append(len(args[2]))
+            return scorer(*args)
+
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", counted)
+        tracemalloc.start()
+        try:
+            outcomes = qobs.observers._design_alg2(plants, qobs.observers._kalman_step(plants, 0.0), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [alg2_answer(outcome) for outcome in outcomes] == singles
+        assert peak <= 2.5 * 2**20
+        budget = 2 * qobs.observers.KRON_CHUNK_BYTES // (10 * 8 * (2 * 8) ** 2)  # 51 slices
+        assert sizes[:24] == [len(default_rho_grid())] * 24  # a grid of 62 is a chunk of its own
+        assert len(sizes) > 24 and max(sizes[24:]) <= budget
+
+    def test_a_round_is_one_scorer_call_where_its_plants_fit_one_chunk(self, perfbench_workloads, monkeypatch):
+        # the s2 sweep's 64 plants of n_x = 2 take at most 11 slices each in
+        # a round, within the chunk of 819 slices: the grid pass takes five
+        # calls of 13 plants or fewer, and each round one; a single plant
+        # takes one call per pass
+        chunked, scorer, calls, per_pass = qobs.observers._chunked_traces, qobs.observers._alg2_traces, [], []
+
+        def counted(*args):
+            calls.append(args[2])
+            return scorer(*args)
+
+        def counted_pass(*args):
+            before = len(calls)
+            outcomes = chunked(*args)
+            per_pass.append(len(calls) - before)
+            return outcomes
+
+        monkeypatch.setattr(qobs.observers, "_alg2_traces", counted)
+        monkeypatch.setattr(qobs.observers, "_chunked_traces", counted_pass)
+        plants = [make_cavity_plant(*co.S2, kn) for kn in default_kn_grid()]
+        qobs.observers._design_alg2(plants, qobs.observers._kalman_step(plants, 0.0), None)
+        assert per_pass[0] == 5 and per_pass[1:] == [1] * (len(per_pass) - 1) and len(per_pass) > 2
+        for plant in alg2_plants("pool", perfbench_workloads):
+            per_pass.clear()
+            design_algorithm2(plant)
+            assert per_pass == [1] * len(per_pass)
 
     @pytest.mark.parametrize("family", ["cavity", "pool"])
     def test_every_curve_trace_is_the_trace_of_its_design(self, family, perfbench_workloads):

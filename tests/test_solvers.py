@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,18 +16,26 @@ from qobs import (
     NoStabilizingSolution,
     NotHurwitz,
     WrongSplitCount,
+    design_algorithm1,
+    design_algorithm2,
+    design_algorithm3,
+    design_classical,
     integrate_covariance,
     make_cavity_plant,
+    run_sweep,
+    scenario_config,
     solve_care,
     solve_lyapunov,
     stable_subspace,
 )
 from qobs.observers import _alg2_traces, _kalman_step, _plant_matrices
+import qobs.observers
 import qobs.solvers
 from qobs.solvers import (
     _care_coefficients, _filter_cares, _hamiltonian, _not_hurwitz, _riccati_solutions, _schur_solutions,
-    _solve_lyapunov_stack, _stable_subspaces,
+    _solve_lyapunov_stack, riccati_residual,
 )
+from qobs.systems import CHECK_RTOL
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -49,21 +58,16 @@ def rk4_step_loop(A_e, N, P0, horizon, step):
     return P
 
 
-def schur_blocks(Z):
-    """Reference for ``_stable_subspaces``: ``scipy.linalg.schur`` slice by slice, the call its ``gees`` call replaces.
+def norms(H):
+    """The Frobenius norm of each slice of a stack."""
+    return np.linalg.norm(H, axis=(-2, -1))
 
-    Per slice ``(X1, X2, sdim)``, or the exception ``scipy.linalg.schur`` raises.
-    """
-    n = Z.shape[-1] // 2
-    out = []
-    for Zi in Z:
-        try:
-            _, U, sdim = scipy.linalg.schur(Zi.astype(complex), output="complex", sort="lhp")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            out.append(exc)
-            continue
-        out.append((U[:n, :n], U[n:, :n], sdim))
-    return out
+
+def passes_the_residual_check(F, B, M, H, H_scale, X):
+    """Whether ``X`` solves the Riccati equation to ``CHECK_RTOL`` of ``||X G X|| + 2 ||X F|| + H_scale``."""
+    G = B @ M @ B.T
+    scale = norms(X @ G @ X) + 2.0 * norms(X @ F) + H_scale
+    return bool(norms(riccati_residual(F, B, M, H, X)) <= CHECK_RTOL * scale)
 
 
 def grid_filters(A, C, V1, V12, V2):
@@ -219,21 +223,31 @@ class TestGridFilters:
 
 
 @pytest.fixture
-def schur_stacks(monkeypatch):
-    """The length of each stack that the Riccati route leaves to the Schur loop."""
-    stacks = []
+def schur_calls(monkeypatch):
+    """The errors of each call the Riccati route makes to the Schur loop, one per slice it leaves there."""
+    calls = []
 
     def counted(Z):
-        stacks.append(len(Z))
-        return _schur_solutions(Z)
+        X, errors = _schur_solutions(Z)
+        calls.append(errors)
+        return X, errors
 
     monkeypatch.setattr(qobs.solvers, "_schur_solutions", counted)
-    return stacks
+    return calls
+
+
+def eig_that_does_not_converge(Z):
+    """``np.linalg.eig`` failing as it does when ``geev`` does not converge on a slice."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+#: pool plants (stratum, index) whose rho = 0 CARE has ``H = V1 - V12 V2^-1 V12^T`` cancelling
+CANCELLING_CARES = [(2, 0), (5, 2), (5, 4), (8, 2), (14, 5)]
 
 
 class TestRiccatiSolutions:
     @pytest.mark.filterwarnings("error")
-    def test_failing_slices_take_the_schur_route_and_get_errors_not_a_raise(self, schur_stacks):
+    def test_failing_slices_take_the_schur_route_and_get_errors_not_a_raise(self, schur_calls):
         # a good cavity slice, an imaginary-axis one, one whose Hamiltonian
         # overflows, a Jordan block (F = [[-1, 1], [0, -1]], G = I, H = 0)
         # whose eigenvector basis is singular to working precision, and one
@@ -245,8 +259,8 @@ class TestRiccatiSolutions:
         F[3], B[3], M[3], H[3] = [[-1.0, 1.0], [0.0, -1.0]], np.eye(2), np.eye(2), 0.0
         F[4], B[4] = [[1.0, 2.0], [-2.0, -1.0]], np.eye(2)
         M[4], H[4] = [[-2.0, -1.0], [-1.0, -2.0]], [[2.0, -1.0], [2.0, 1.0]]
-        X, errors = _riccati_solutions(F, B, M, H)
-        assert schur_stacks == [4]  # the slices that fail a check, and only those
+        X, errors = _riccati_solutions(F, B, M, H, norms(H))
+        assert [len(call) for call in schur_calls] == [4]  # the slices that fail a check, and only those
         assert errors[0] is None and errors[3] is None
         assert isinstance(errors[1], ImaginaryAxisEigenvalue) and isinstance(errors[4], WrongSplitCount)
         assert type(errors[2]) is DomainError and str(errors[2]) == "array must not contain infs or NaNs"
@@ -254,39 +268,104 @@ class TestRiccatiSolutions:
         X_schur, (error,) = _schur_solutions(Z[None])
         assert error is None and X[3].tobytes() == X_schur[0].tobytes()
         assert_allclose(X[3], np.zeros((2, 2)), atol=1e-15)
-        X_alone, (error,) = _riccati_solutions(*(X[None] for X in good))
+        X_alone, (error,) = _riccati_solutions(*(X[None] for X in good), norms(good[3][None]))
         assert error is None and X[0].tobytes() == X_alone[0].tobytes()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "F, H",
-        [
-            # H of round-off size, as where V1 - V12 V2^-1 V12^T cancels: X is
-            # as small, and the eigenvectors give it only to round-off
-            ([[-1.0, 0.3], [0.2, -2.0]], [[1e-17, 5e-18], [5e-18, 2e-17]]),
-            # X = 1e150, whose residual is finite but has an overflowing norm
-            ([[-1.0]], [[1e300]]),
-        ],
-        ids=["inaccurate", "overflowing"],
-    )
-    def test_solution_that_fails_the_residual_check_takes_the_schur_route(self, F, H, schur_stacks):
-        F, H = np.array([F]), np.array([H])
-        B = M = np.eye(len(F[0]))[None]
-        X, (error,) = _riccati_solutions(F, B, M, H)
-        X_schur, (schur_error,) = _schur_solutions(_hamiltonian(F, B, M, H)[0])
-        assert schur_stacks == [1] and error is schur_error is None and X.tobytes() == X_schur.tobytes()
+    def test_scale_of_the_cancelled_terms_keeps_the_eigenvector_solution(self, schur_calls):
+        # H of round-off size, as where V1 - V12 V2^-1 V12^T cancels: X is
+        # as small, and the eigenvectors give it to round-off of the
+        # cancelled terms, here of norm 1; measured against ||H|| alone,
+        # neither route's X passes
+        F, H = np.array([[[-1.0, 0.3], [0.2, -2.0]]]), np.array([[[1e-17, 5e-18], [5e-18, 2e-17]]])
+        B = M = np.eye(2)[None]
+        X, (error,) = _riccati_solutions(F, B, M, H, np.array([1.0]))
+        assert error is None and schur_calls == [] and passes_the_residual_check(F[0], B[0], M[0], H[0], 1.0, X[0])
+        X, (error,) = _riccati_solutions(F, B, M, H, norms(H))
+        assert schur_calls == [[None]] and isinstance(error, NoStabilizingSolution)
+        assert "Riccati residual" in str(error)
 
-    def test_eig_that_does_not_converge_leaves_every_slice_to_the_schur_route(self, schur_stacks, monkeypatch):
+    @pytest.mark.filterwarnings("error")
+    def test_solution_with_an_overflowing_residual_is_refused(self, schur_calls):
+        # X = 1e150, whose residual is finite but has an overflowing norm
+        F, H = np.array([[[-1.0]]]), np.array([[[1e300]]])
+        B = M = np.eye(1)[None]
+        _, (error,) = _riccati_solutions(F, B, M, H, np.array([1e300]))
+        assert schur_calls == [[None]] and isinstance(error, NoStabilizingSolution)
+
+    def test_schur_solution_that_fails_the_residual_check_is_refused(self, schur_calls, monkeypatch):
+        # the Jordan-block slice takes the Schur route; a basis perturbed
+        # off its invariant subspace gives an X with a large residual
+        F, B, M, H = np.array([[[-1.0, 1.0], [0.0, -1.0]]]), np.eye(2)[None], np.eye(2)[None], np.zeros((1, 2, 2))
+        basis = qobs.solvers.stable_subspace
+
+        def perturbed(Z):
+            X1, X2 = basis(Z)
+            return X1, X2 + 1e-3 * np.eye(len(X2))
+
+        _, (error,) = _riccati_solutions(F, B, M, H, norms(H))
+        assert error is None and len(schur_calls) == 1
+        monkeypatch.setattr(qobs.solvers, "stable_subspace", perturbed)
+        _, (error,) = _riccati_solutions(F, B, M, H, norms(H))
+        assert schur_calls[1] == [None] and isinstance(error, NoStabilizingSolution)
+
+    @pytest.mark.parametrize("route", ["eigenvectors", "schur"])
+    def test_every_solution_returned_passes_the_residual_check(self, route, monkeypatch):
+        # random CAREs, some with H of round-off size, and Jordan blocks;
+        # the Schur route, made to decide every slice where eig does not
+        # converge, is held to the same check
+        if route == "schur":
+            monkeypatch.setattr(np.linalg, "eig", eig_that_does_not_converge)
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 3, 4):
+            F, B, H = (rng.normal(size=(40, n, n)) for _ in range(3))
+            M = np.broadcast_to(np.eye(n), (40, n, n))
+            H = H @ H.swapaxes(-1, -2)
+            H[::4] *= 1e-17
+            F[1::4] = -np.eye(n) + np.eye(n, k=1)
+            B[1::4], H[1::4] = np.eye(n), 0.0
+            H_scale = np.where(np.arange(40) % 8 == 0, 1.0, norms(H))
+            X, errors = _riccati_solutions(F, B, M, H, H_scale)
+            kept = [i for i, error in enumerate(errors) if error is None]
+            assert len(kept) >= 20
+            for i in kept:
+                assert passes_the_residual_check(F[i], B[i], M[i], H[i], H_scale[i], X[i])
+
+    @pytest.mark.parametrize("stratum, index", CANCELLING_CARES)
+    def test_cancelling_care_is_decided_by_the_eigenvector_route(self, stratum, index, perfbench_workloads, schur_calls):
+        # measured against ||H|| alone, these rho = 0 solutions failed the
+        # residual check, and the Schur route decided them
+        plant = perfbench_workloads.pool_plant(stratum, index)
+        (kd,) = _kalman_step([plant], 0.0)
+        assert isinstance(kd, qobs.solvers.KalmanDesign) and schur_calls == []
+        A, C, V1, V12, V2 = qobs.observers._care_inputs(_plant_matrices([plant]), 0.0)
+        F, B, M, H = _care_coefficients(A, C, V1, V12, np.linalg.inv(V2))
+        assert not passes_the_residual_check(F, B, M, H, norms(H), kd.Q)
+
+    def test_eig_that_does_not_converge_leaves_every_slice_to_the_schur_route(self, schur_calls, monkeypatch):
         good = _care_coefficients(*cavity_noise_blocks(*co.S2, 10.0)[:4], np.eye(2))
         coefficients = [np.stack([X, 2.0 * X]) for X in good]
-
-        def no_convergence(Z):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eig", no_convergence)
-        X, errors = _riccati_solutions(*coefficients)
+        monkeypatch.setattr(np.linalg, "eig", eig_that_does_not_converge)
+        X, errors = _riccati_solutions(*coefficients, norms(coefficients[3]))
         X_schur, schur_errors = _schur_solutions(_hamiltonian(*coefficients)[0])
-        assert schur_stacks == [2] and errors == schur_errors == [None, None] and X.tobytes() == X_schur.tobytes()
+        assert schur_calls == [[None, None]] and errors == schur_errors == [None, None]
+        assert X.tobytes() == X_schur.tobytes()
+
+    def test_schur_traffic_of_the_default_sweeps_and_the_pool(self, schur_calls, perfbench_workloads):
+        # the slices the eigenvector route leaves to the Schur loop: on the
+        # three default sweeps, imaginary-axis Hamiltonians only; on pool
+        # plant 0 of each stratum, none that the Schur loop solves; a change
+        # to the eigenvector route's checks shows up here
+        for name in ("s1", "s2", "s3"):
+            run_sweep(scenario_config(name))
+        reasons = Counter(type(error).__name__ for call in schur_calls for error in call)
+        assert reasons == {"ImaginaryAxisEigenvalue": 83}
+        schur_calls.clear()
+        for stratum in range(len(perfbench_workloads.STRATA)):
+            plant = perfbench_workloads.pool_plant(stratum, 0)
+            for design in (design_algorithm1, design_algorithm2, design_algorithm3, design_classical):
+                design(plant)
+        assert all(error is not None for call in schur_calls for error in call)
 
 
 class TestSolveLyapunovStack:
@@ -465,7 +544,7 @@ class TestStableSubspace:
             stable_subspace(Z)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_stack_matches_scipy_schur(self, n):
+    def test_schur_route_gives_each_slice_what_stable_subspace_raises(self, n):
         # Hamiltonians, whose spectra split evenly, and general matrices,
         # which mostly do not; one slice is not finite
         rng = np.random.default_rng(n)
@@ -473,17 +552,16 @@ class TestStableSubspace:
         G, H = G @ G.swapaxes(-1, -2), H @ H.swapaxes(-1, -2)
         Z = np.concatenate([np.block([[F, -G], [-H, -F.swapaxes(-1, -2)]]), rng.normal(size=(12, 2 * n, 2 * n))])
         Z[5, 0, -1] = np.nan
-        X1, X2, errors = _stable_subspaces(Z)
-        kinds = set()
-        for i, reference in enumerate(schur_blocks(Z)):
-            if isinstance(reference, Exception):
-                assert isinstance(errors[i], type(reference)) and str(errors[i]) == str(reference)
-                kinds.add(type(reference).__name__)
+        X, errors = _schur_solutions(Z)
+        for Zi, Xi, error in zip(Z, X, errors):
+            try:
+                X1, X2 = stable_subspace(Zi)
+            except (DomainError, WrongSplitCount, ImaginaryAxisEigenvalue) as exc:
+                assert type(error) is type(exc) and str(error) == str(exc)
                 continue
-            assert X1[i].tobytes() == reference[0].tobytes() and X2[i].tobytes() == reference[1].tobytes()
-            kinds.add(type(errors[i]).__name__)
-            assert type(errors[i]).__name__ == ("NoneType" if reference[2] == n else "WrongSplitCount")
-        assert kinds == {"ValueError", "WrongSplitCount", "NoneType"}
+            if error is None:
+                assert Xi.tobytes() == (X2 @ np.linalg.inv(X1)).real.tobytes()
+        assert {type(error).__name__ for error in errors} >= {"DomainError", "WrongSplitCount", "NoneType"}
         assert str(errors[5]) == "array must not contain infs or NaNs"
         assert type(errors[5]) is DomainError  # typed, where scipy.linalg.schur raises a ValueError
 
