@@ -35,7 +35,8 @@ take about three rounds, and never more than ten. alg3 transforms all its
 filters in one stacked :func:`skew_riccati_transform` call.
 
 Performance is the steady-state symmetrized error covariance, obtained from
-the Lyapunov equation of the estimation-error dynamics.
+the Lyapunov equation of the estimation-error dynamics, every one built by
+:func:`_error_noise` in the groups by noise width of :func:`_error_covariances`.
 """
 
 from __future__ import annotations
@@ -142,10 +143,14 @@ def _plant_matrices(plants: Sequence[QuantumLinearSystem]) -> tuple[np.ndarray, 
     """``(A, B, C, D, S_w)`` of a list of same-shape plants, one slice per plant.
 
     The matrices of the one plant, unstacked, if every entry is that plant.
+    Raises :class:`DomainError` if the plants differ in shape.
     """
     if all(plant is plants[0] for plant in plants):
         return plants[0].A, plants[0].B, plants[0].C, plants[0].D, plants[0].ito.S
-    return tuple(np.stack(Ms) for Ms in zip(*((p.A, p.B, p.C, p.D, p.ito.S) for p in plants)))
+    matrices = [(p.A, p.B, p.C, p.D, p.ito.S) for p in plants]
+    if len({tuple(M.shape for M in Ms) for Ms in matrices}) > 1:
+        raise DomainError("the plants of one list must share one shape")
+    return tuple(np.stack(Ms) for Ms in zip(*matrices))
 
 
 def _care_inputs(matrices: tuple[np.ndarray, ...], rho) -> tuple[np.ndarray, ...]:
@@ -218,16 +223,17 @@ def _alg2_traces(matrices: tuple[np.ndarray, ...], filters: list, items: Sequenc
     :func:`_filter_cares` call; one ``eigvals`` call on the filter matrices
     applies :func:`solve_care`'s stability rule and then
     :func:`evaluate_performance`'s :func:`_not_hurwitz`; one
-    :func:`augment_noise` call gives the ``B_v2`` of the filters still in;
-    and :func:`_error_covariances` scores their error systems
-    ``B_e = [B - K D, -B_v1, -B_v2]``, as :func:`error_system` forms them.
+    :func:`augment_noise` call gives the ``B_v1`` and ``B_v2`` of the
+    filters still in; and one :func:`_error_covariances` call scores their
+    error systems, whose noise :func:`_error_noise` builds, as for every
+    observer that :func:`evaluate_performance` scores.
     """
     if not items:
         return []
     owners = np.array([i for i, _ in items])
     rhos = np.array([rho for _, rho in items])
     A, B, C, D, S_w = (M if M.ndim == 2 else M[owners] for M in matrices)
-    n, p, n_w = A.shape[-1], C.shape[-2], B.shape[-1]
+    n, p = A.shape[-1], C.shape[-2]
     K, A_hat = np.empty((len(items), n, p)), np.empty((len(items), n, n))
     outcomes: list = [None] * len(items)
     for k in np.flatnonzero(rhos == 0.0):  # the given filter
@@ -249,22 +255,10 @@ def _alg2_traces(matrices: tuple[np.ndarray, ...], filters: list, items: Sequenc
     live = [k for k in live if outcomes[k] is None]
     if not live:
         return outcomes
-    C_hat = np.eye(n)
-    augs = augment_noise(A_hat[live], K[live], C_hat, canonical_theta(n // 2))
-    B, D, S_w = (M if M.ndim == 2 else M[live] for M in (B, D, S_w))
-    gains = B - K[live] @ D  # the plant-noise gain of _plant_noise_gain
-    widths = np.array([aug.n_v2 for aug in augs])
-    groups = []
-    for width in np.unique(widths):
-        group = np.flatnonzero(widths == width)
-        B_v2 = np.array([augs[j].B_v2 for j in group])
-        B_v1 = np.broadcast_to(augs[0].B_v1, (len(group), *augs[0].B_v1.shape))
-        B_e = np.concatenate([gains[group], -B_v1, -B_v2], axis=-1)
-        w = B_e.shape[-1]
-        S_joint = np.broadcast_to(np.eye(w), (len(group), w, w)).copy()
-        S_joint[:, :n_w, :n_w] = S_w if S_w.ndim == 2 else S_w[group]
-        groups.append((group, B_e, S_joint))
-    _, traces = _error_covariances(A_hat[live], groups)
+    augs = augment_noise(A_hat[live], K[live], np.eye(n), canonical_theta(n // 2))
+    plant_noise = (M if M.ndim == 2 else M[live] for M in (B, D, S_w))
+    gains = [aug.B_v1 for aug in augs], [aug.B_v2 for aug in augs]
+    _, traces = _error_covariances(A_hat[live], *plant_noise, K[live], *gains)
     for k, trace in zip(live, traces.tolist()):
         outcomes[k] = trace
     return outcomes
@@ -329,7 +323,10 @@ def _design_alg2(plants: Sequence[QuantumLinearSystem], filters: list, rho_candi
     """
     if rho_candidates is None:
         rho_candidates = default_rho_grid()
-    candidates = sorted({float(r) for r in rho_candidates})
+    try:
+        candidates = sorted({float(r) for r in rho_candidates})
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"rho candidates must be numbers: {exc}") from None
     if not candidates:
         raise DomainError("rho candidate list must be non-empty")
     if not all(np.isfinite(rho * rho) for rho in candidates):
@@ -548,50 +545,62 @@ def design_classical(plant: QuantumLinearSystem) -> ClassicalObserver:
     return single_outcome(_design_classical([plant]))
 
 
-def _plant_noise_gain(plant: QuantumLinearSystem, K: np.ndarray) -> np.ndarray:
-    """Gain ``B - K D`` of the plant's noise in the error dynamics of a filter with gain ``K`` (or a stack)."""
-    return plant.B - K @ plant.D
+def _observer_gains(plant: QuantumLinearSystem, observer: CoherentObserver | ClassicalObserver) -> tuple:
+    """``(K, G_v1, B_v2)``: an observer's filter gain and the gains of its vacuum inputs in its error system.
 
-
-def error_system(
-    plant: QuantumLinearSystem,
-    observer: CoherentObserver | ClassicalObserver,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimation-error dynamics ``(A_e, B_e, S_joint)``.
-
-    ``d(x - xi) = A_e (x - xi) dt + B_e d(noises)`` with all noise sources
-    independent, so ``S_joint`` is block diagonal: the plant's intensity
-    followed by identity blocks for each vacuum input of the observer.
-    :func:`_alg2_traces` forms the same arrays for a stack of augmented
-    filters.
+    ``(K, K, empty)`` for a classical observer, whose heterodyne vacuum enters through ``K``. Raises
+    :class:`DomainError` unless ``A_hat`` is ``(n_x, n_x)``, ``K`` ``(n_x, n_y)`` and the vacuum gains ``n_x`` high.
     """
-    S_w = plant.ito.S
     if isinstance(observer, ClassicalObserver):
-        gains = [_plant_noise_gain(plant, observer.K), -observer.K]
+        gains = observer.K, observer.K, np.zeros((len(observer.K), 0))
     else:
-        gains = [
-            _plant_noise_gain(plant, observer.B_hat),
-            -observer.noise_gain_v1,
-            -observer.B_v2,
-        ]
-    B_e = np.hstack(gains)
-    S_joint = np.eye(B_e.shape[1])
-    S_joint[: plant.n_w, : plant.n_w] = S_w
-    return observer.A_hat, B_e, S_joint
+        gains = observer.B_hat, observer.noise_gain_v1, observer.B_v2
+    n_y, n_x = plant.C.shape
+    if observer.A_hat.shape != (n_x, n_x) or gains[0].shape != (n_x, n_y) or not len(gains[1]) == len(gains[2]) == n_x:
+        shapes = f"A_hat of shape {observer.A_hat.shape} and gain of shape {gains[0].shape}"
+        raise DomainError(f"observer with {shapes} does not fit a plant with n_x = {n_x} and n_y = {n_y}")
+    return gains
 
 
-def _error_covariances(A_e: np.ndarray, groups: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+def _error_noise(B, D, S_w, K, G_v1, B_v2) -> tuple[np.ndarray, np.ndarray]:
+    """``(B_e, S_joint)`` of a stack of error systems ``d(x - xi) = A_e (x - xi) dt + B_e d(noises)``, all built here.
+
+    ``B_e = [B - K D, -G_v1, -B_v2]`` and ``S_joint = diag(S_w, I)``, the noises being independent; ``K``, ``G_v1``
+    and ``B_v2`` are stacks of one width each, ``B``, ``D`` and ``S_w`` one plant's or stacks.
+    """
+    B_e = np.concatenate([B - K @ D, -G_v1, -B_v2], axis=-1)
+    n_w, w = S_w.shape[-1], B_e.shape[-1]
+    S_joint = np.zeros((len(B_e), w, w))
+    S_joint[:, :n_w, :n_w], S_joint[:, n_w:, n_w:] = S_w, np.eye(w - n_w)
+    return B_e, S_joint
+
+
+def error_system(plant: QuantumLinearSystem, observer: CoherentObserver | ClassicalObserver) -> tuple[np.ndarray, ...]:
+    """Estimation-error dynamics ``(A_e, B_e, S_joint)``: ``A_hat`` and the stack of one of :func:`_error_noise`.
+
+    Raises :class:`DomainError` if the observer does not fit the plant.
+    """
+    B_e, S_joint = _error_noise(plant.B, plant.D, plant.ito.S, *(G[None] for G in _observer_gains(plant, observer)))
+    return observer.A_hat, B_e[0], S_joint[0]
+
+
+def _error_covariances(A_e, B, D, S_w, K, G_v1, B_v2) -> tuple[np.ndarray, np.ndarray]:
     """Steady-state symmetrized error covariances ``J_bar`` of a stack of Hurwitz error systems, and their traces.
 
-    ``groups`` holds ``(slices, B_e, S_joint)``: the slices of ``A_e`` whose
-    noise gains ``B_e`` have one width, and the stacks of those gains and
-    their joint intensities. ``J_bar`` solves ``A_e J_bar + J_bar A_e^T +
-    B_e S_joint B_e^T = 0``. Both :func:`evaluate_performance` and alg2's
-    scorer :func:`_alg2_traces` score through here.
+    Slice ``k`` has the dynamics ``A_e[k]`` and the :func:`_error_noise` of ``B``, ``D``, ``S_w`` (one plant's or
+    stacks), ``K[k]``, ``G_v1[k]`` and ``B_v2[k]``, one call per group of slices whose vacuum gains have one width
+    each, grouped here and nowhere else. ``J_bar`` solves ``A_e J_bar + J_bar A_e^T + B_e S_joint B_e^T = 0``.
     """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (G, B_v) in enumerate(zip(G_v1, B_v2)):
+        groups.setdefault((G.shape[-1], B_v.shape[-1]), []).append(k)
     N = np.empty(A_e.shape)
-    for slices, B_e, S_joint in groups:
-        N[slices] = B_e @ S_joint @ B_e.swapaxes(-1, -2)
+    for group in groups.values():
+        rows = group if len(groups) > 1 else slice(None)  # a single width gathers no copies
+        plant_noise = (M if M.ndim == 2 else M[rows] for M in (B, D, S_w))
+        vacuum = np.array([G_v1[k] for k in group]), np.array([B_v2[k] for k in group])
+        B_e, S_joint = _error_noise(*plant_noise, K[rows], *vacuum)
+        N[rows] = B_e @ S_joint @ B_e.swapaxes(-1, -2)
     J_bar = _solve_lyapunov_stack(A_e, N)
     return J_bar, J_bar.trace(axis1=-2, axis2=-1)
 
@@ -606,29 +615,25 @@ def evaluate_performance(plant, observer) -> PerformanceReport | list:
     ``plant`` and ``observer`` may be equal-length lists of same-shape
     plants and their observers. The call then returns one outcome per pair,
     the :class:`PerformanceReport` or the :class:`NotHurwitz` error, and
-    raises none but :class:`DomainError` for empty lists or lists of unequal
-    length; the Lyapunov equations are solved as one stack. A single pair is
-    the stack of one.
+    raises none but :class:`DomainError` for empty lists, lists of unequal
+    length, plants of more than one shape or an observer that does not fit
+    its plant; the Lyapunov equations are solved as one stack. A single pair
+    is the stack of one.
     """
     single = isinstance(plant, QuantumLinearSystem)
     plants, observers = ([plant], [observer]) if single else (plant, observer)
     if not 0 < len(plants) == len(observers):
         raise DomainError(f"need as many observers as plants, at least one: got {len(plants)} and {len(observers)}")
-    systems = [error_system(p, obs) for p, obs in zip(plants, observers)]
-    A_e = np.stack([A for A, _, _ in systems])
+    _, B, _, D, S_w = _plant_matrices(plants)
+    gains = [_observer_gains(p, obs) for p, obs in zip(plants, observers)]
+    A_e = np.array([obs.A_hat for obs in observers])
     eigvals = np.linalg.eigvals(A_e)
     worst = eigvals.real.max(axis=-1)
 
     def report(done: list[int]) -> list[PerformanceReport]:
-        # one group of observers per number of vacuum inputs
-        groups: dict[int, list[int]] = {}
-        for j, k in enumerate(done):
-            groups.setdefault(systems[k][1].shape[1], []).append(j)
-        stacks = [
-            (group, np.array([systems[done[j]][1] for j in group]), np.array([systems[done[j]][2] for j in group]))
-            for group in groups.values()
-        ]
-        J_bars, traces = _error_covariances(A_e[done], stacks)
+        plant_noise = (M if M.ndim == 2 else M[done] for M in (B, D, S_w))
+        K, G_v1, B_v2 = zip(*(gains[k] for k in done))
+        J_bars, traces = _error_covariances(A_e[done], *plant_noise, np.array(K), G_v1, B_v2)
         return [
             PerformanceReport(
                 J_bar=J_bar,

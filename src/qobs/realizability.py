@@ -79,9 +79,9 @@ def stilde(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, X: np.ndarra
 
 
 def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, ...]:
-    """The filter's defect ``S_tilde``, the spectrum of ``i S_tilde / 4``, and its positive part.
+    """The spectrum of ``i S_tilde / 4``, ``S_tilde`` the filter's defect, and its positive part.
 
-    Returns ``(S_tilde, eigvals, eigvecs, keep)``: the eigenvalues ascending,
+    Returns ``(eigvals, eigvecs, keep)``: the eigenvalues ascending,
     their eigenvectors as columns, and the mask of those above ``RANK_RTOL``
     times the scale of the terms ``S_tilde / 4`` is formed from,
     ``(||theta B theta_y B^T theta||_2 + 2 ||A_hat||_2 + ||C^T theta_eta C||_2) / 4``,
@@ -101,7 +101,7 @@ def _defect_spectrum(A_hat, B_hat, C_hat, theta) -> tuple[np.ndarray, ...]:
     )
     eigvals, eigvecs = np.linalg.eigh(0.25j * S_t)
     keep = eigvals > RANK_RTOL * (norm_G + 2.0 * norm_F + norm_H) / 4.0
-    return S_t, eigvals, eigvecs, keep
+    return eigvals, eigvecs, keep
 
 
 def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, theta: np.ndarray) -> int:
@@ -111,7 +111,7 @@ def min_vacuum_rank(A_hat: np.ndarray, B_hat: np.ndarray, C_hat: np.ndarray, the
     above ``RANK_RTOL`` times the scale of its terms, the count
     :func:`augment_noise` builds ``B_v2`` from.
     """
-    return 2 * int(np.count_nonzero(_defect_spectrum(A_hat, B_hat, C_hat, theta)[3]))
+    return 2 * int(np.count_nonzero(_defect_spectrum(A_hat, B_hat, C_hat, theta)[2]))
 
 
 def _fix_column_phases(V: np.ndarray) -> np.ndarray:
@@ -129,9 +129,9 @@ class AugmentResult:
 
     ``B_v1`` feeds back the output field (``field_gain(theta, C_hat)``);
     ``B_v2`` couples ``n_v2`` further vacuum quadratures, one per column.
+    The defect they restore is :func:`stilde` at ``X = theta``.
     """
 
-    S_tilde: np.ndarray
     B_v1: np.ndarray
     B_v2: np.ndarray
 
@@ -162,7 +162,7 @@ def augment_noise(
     A_hat, B_hat, C_hat, theta = (np.asarray(M, dtype=float) for M in (A_hat, B_hat, C_hat, theta))
     single = A_hat.ndim == B_hat.ndim == 2
     stacks = (M if M.ndim == 3 else M[None] for M in (A_hat, B_hat))
-    S_t, eigvals, eigvecs, keep = _defect_spectrum(*stacks, C_hat, theta)
+    eigvals, eigvecs, keep = _defect_spectrum(*stacks, C_hat, theta)
     counts = np.count_nonzero(keep, axis=-1)
     B_v2: list = [np.zeros((theta.shape[0], 0))] * len(counts)
     for count in sorted(set(counts.tolist()) - {0}):
@@ -173,7 +173,7 @@ def augment_noise(
         for i, G in zip(group, field_gain(theta, quadrature_readout(W))):
             B_v2[i] = G
     B_v1 = field_gain(theta, C_hat)
-    results = [AugmentResult(S_tilde=S, B_v1=B_v1, B_v2=G) for S, G in zip(S_t, B_v2)]
+    results = [AugmentResult(B_v1=B_v1, B_v2=G) for G in B_v2]
     return results[0] if single else results
 
 

@@ -91,7 +91,10 @@ class ScenarioConfig:
             raise DomainError(
                 f"mirror couplings must be positive and finite, got {self.kappa1}, {self.kappa2}"
             )
-        grid = tuple(float(k) for k in self.kn_grid)
+        try:
+            grid = tuple(float(k) for k in self.kn_grid)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"kn_grid values must be non-negative and finite numbers: {exc}") from None
         if not grid:
             raise DomainError("kn_grid must be non-empty")
         if not all(0 <= k < np.inf for k in grid):

@@ -392,6 +392,8 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
             raise FileFormatError(f"missing key {key!r}")
     try:
         n_x = int(d["n_x"])
+        if isinstance(d["n_x"], float) and n_x != d["n_x"]:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise FileFormatError(f"n_x = {d['n_x']!r} is not an integer") from None
     if not isinstance(d["channels"], list):

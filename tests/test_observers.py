@@ -261,6 +261,11 @@ class TestAlgorithm2:
         with pytest.raises(DomainError, match="finite squares"):
             design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=[0.0, rho])
 
+    @pytest.mark.parametrize("candidates", [["a"], [0.0, None], [[0.0, 1.0]]])
+    def test_candidate_that_is_not_a_number_is_refused(self, candidates):
+        with pytest.raises(DomainError, match="rho candidates must be numbers"):
+            design_algorithm2(make_cavity_plant(0.1, 0.1, 1.0), rho_candidates=candidates)
+
     def test_candidate_whose_square_underflows_is_skipped(self, caplog):
         # with D = 0, V2 = rho^2 I: zero for rho = 1e-200, and a subnormal
         # whose inverse overflows for rho = 1e-161; both are skipped for
@@ -803,12 +808,25 @@ class TestEvaluatePerformance:
             again = evaluate_performance(plant, twisted).J_bar
             assert np.max(np.abs(again - ref)) < 1e-10
 
-    def test_bad_list_pairs_are_refused(self):
+    def test_bad_list_pairs_are_refused(self, perfbench_workloads):
         plant = make_cavity_plant(0.1, 0.1, 1.0)
         obs = design_algorithm1(plant)
         for plants, observers in (([plant, plant], [obs]), ([plant], [obs, obs]), ([], [])):
             with pytest.raises(DomainError, match="as many observers as plants"):
                 evaluate_performance(plants, observers)
+        # a 4x4 plant and its observer against the 2x2 cavity and its observer
+        plant4 = perfbench_workloads.pool_plant(perfbench_workloads.STRATA.index((4, 2, 2)), 0)
+        obs4 = design_algorithm1(plant4)
+        mismatched = [
+            (evaluate_performance, (plant, obs4), "does not fit a plant with n_x = 2 and n_y = 2"),
+            (error_system, (plant4, obs), "does not fit a plant with n_x = 4 and n_y = 2"),
+            (error_system, (plant, design_classical(plant4)), "does not fit a plant with n_x = 2"),
+            (error_system, (plant, dataclasses.replace(obs, B_v2=np.zeros((4, 2)))), "does not fit a plant with n_x = 2"),
+            (evaluate_performance, ([plant, plant4], [obs, obs4]), "plants of one list must share one shape"),
+        ]
+        for call, args, message in mismatched:
+            with pytest.raises(DomainError, match=message):
+                call(*args)
 
     @pytest.mark.parametrize("designer", [design_algorithm1, design_classical])
     def test_error_poles_always_stable(self, designer):
@@ -870,17 +888,37 @@ class TestStack:
         assert [reason for _, reason in outcomes] == [None, None, None] + ["ImaginaryAxisEigenvalue"] * 2
 
     def test_an_evaluation_stack_equals_single_calls(self, perfbench_workloads):
-        # one observer of the stack has unstable error dynamics
+        # one observer of the pool stack has unstable error dynamics; the
+        # classical and the transformed alg3 observer both lack B_v2, but the
+        # classical one's vacuum gain K is narrower than alg3's
         stratum = perfbench_workloads.STRATA.index((4, 2, 2))
-        plants = [perfbench_workloads.pool_plant(stratum, i) for i in range(4)]
-        observers = [design_algorithm1(plant) for plant in plants]
-        observers[1] = dataclasses.replace(observers[1], A_hat=-observers[1].A_hat)
-        reports = evaluate_performance(plants, observers)
-        for plant, obs, report in zip(plants, observers, reports):
-            try:
-                single = evaluate_performance(plant, obs)
-            except QobsError as exc:
-                single = exc
-            assert outcome_bytes(report) == outcome_bytes(single)
-        kinds = [type(report).__name__ for report in reports]
-        assert kinds == ["PerformanceReport", "NotHurwitz", "PerformanceReport", "PerformanceReport"]
+        pool = [perfbench_workloads.pool_plant(stratum, i) for i in range(4)]
+        pool_observers = [design_algorithm1(plant) for plant in pool]
+        pool_observers[1] = dataclasses.replace(pool_observers[1], A_hat=-pool_observers[1].A_hat)
+        pool += [pool[0], pool[1]]
+        pool_observers += [design_classical(pool[0]), design_algorithm3(pool[1])[0]]
+        assert pool_observers[-1].provenance.transformed
+        # alg1, a transformed and a fallen-back alg3, and a classical observer
+        # on the s2 cavity: both observer types and more than one noise width
+        cavity = [make_cavity_plant(*co.S2, kn) for kn in (5.0, 69.0, 70.0, 5.0)]
+        cavity_observers = [
+            design_algorithm1(cavity[0]),
+            design_algorithm3(cavity[1])[0],
+            design_algorithm3(cavity[2])[0],
+            design_classical(cavity[3]),
+        ]
+        assert [obs.provenance.transformed for obs in cavity_observers[1:3]] == [True, False]
+        assert len({error_system(p, obs)[1].shape for p, obs in zip(cavity, cavity_observers)}) > 1
+        cases = [
+            (pool, pool_observers, ["PerformanceReport", "NotHurwitz"] + ["PerformanceReport"] * 4),
+            (cavity, cavity_observers, ["PerformanceReport"] * 4),
+        ]
+        for plants, observers, kinds in cases:
+            reports = evaluate_performance(plants, observers)
+            for plant, obs, report in zip(plants, observers, reports):
+                try:
+                    single = evaluate_performance(plant, obs)
+                except QobsError as exc:
+                    single = exc
+                assert outcome_bytes(report) == outcome_bytes(single)
+            assert [type(report).__name__ for report in reports] == kinds

@@ -79,7 +79,7 @@ class TestScenarioConfig:
         with pytest.raises(DomainError, match="positive and finite"):
             ScenarioConfig(kappa1=value, kappa2=0.1, kn_grid=(1.0,))
 
-    @pytest.mark.parametrize("grid", [(float("nan"),), (1.0, float("inf"))])
+    @pytest.mark.parametrize("grid", [(float("nan"),), (1.0, float("inf")), ("a",)])
     def test_non_finite_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="non-negative and finite"):
             run_sweep(ScenarioConfig(0.1, 0.1, grid))
@@ -508,6 +508,7 @@ class TestCli:
         [
             ("n_x", "abc", "n_x = 'abc' is not an integer"),
             ("n_x", None, "n_x = None is not an integer"),
+            ("n_x", 2.5, "n_x = 2.5 is not an integer"),
             ("channels", 5, "key 'channels': expected a list"),
             ("k_n", "abc", "channels[1]: k_n = 'abc': could not convert"),
             ("k_n", None, "channels[1]: k_n = None: float() argument"),
